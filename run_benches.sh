@@ -19,6 +19,15 @@ if [ -x build/bench/scheduler_scale ]; then
   build/bench/scheduler_scale --out BENCH_scheduler.json > /dev/null
 fi
 
+# Checkpoint container op latency at 1/4/16 live records (format:
+# docs/performance.md). --check flags any op whose 16-record median
+# exceeds 3x its 1-record median.
+if [ -x build/bench/container_ops ]; then
+  build/bench/container_ops --check --out BENCH_container_ops.json \
+      > /dev/null ||
+    echo "container_ops: 16/1-record latency ratio above 3" >&2
+fi
+
 # Cross-scenario protocol rankings (format: docs/scenarios.md); trace
 # files land in a scratch dir so reruns stay tidy.
 if [ -x build/bench/scenario_sweep ]; then

@@ -1087,7 +1087,8 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
         opts.watchdog_secs > 0.0
             ? std::clamp(opts.watchdog_secs / 4.0, 0.01, 0.25)
             : 0.05);
-    watchdog = std::thread([&] {
+    // `poll` by value: this block's scope ends while the thread runs.
+    watchdog = std::thread([&, poll] {
       while (!watchdog_quit.load()) {
         const bool ext = opts.stop && opts.stop->load();
         const Clock::time_point now = Clock::now();

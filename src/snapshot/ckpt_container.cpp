@@ -88,25 +88,62 @@ class ContainerLock {
   int fd_ = -1;
 };
 
-std::vector<std::uint8_t> read_whole(int fd, const std::string& path) {
-  struct stat st{};
-  if (::fstat(fd, &st) != 0)
-    fail(path, std::string("fstat: ") + std::strerror(errno));
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::pread(fd, bytes.data() + done, bytes.size() - done,
-                              static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail(path, std::string("read: ") + std::strerror(errno));
-    }
-    if (n == 0) break;  // concurrent truncate: scan whatever we got
-    done += static_cast<std::size_t>(n);
+/// Read-only descriptor held for one locked operation; exists() is false
+/// when the container file is absent.
+class ReadFile {
+ public:
+  explicit ReadFile(const std::string& path) : path_(path) {
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0 && errno != ENOENT)
+      fail(path, std::string("open: ") + std::strerror(errno));
   }
-  bytes.resize(done);
-  return bytes;
-}
+  ~ReadFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ReadFile(const ReadFile&) = delete;
+  ReadFile& operator=(const ReadFile&) = delete;
+
+  [[nodiscard]] bool exists() const { return fd_ >= 0; }
+
+  [[nodiscard]] std::uint64_t size() const {
+    struct stat st{};
+    if (::fstat(fd_, &st) != 0)
+      fail(path_, std::string("fstat: ") + std::strerror(errno));
+    return static_cast<std::uint64_t>(st.st_size);
+  }
+
+  /// Reads up to `len` bytes at `off`; fewer only at end of file.
+  std::size_t read_at(void* buf, std::size_t len, std::uint64_t off) const {
+    auto* out = static_cast<std::uint8_t*>(buf);
+    std::size_t done = 0;
+    while (done < len) {
+      const ssize_t n = ::pread(fd_, out + done, len - done,
+                                static_cast<off_t>(off + done));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        fail(path_, std::string("read: ") + std::strerror(errno));
+      }
+      if (n == 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    return done;
+  }
+
+  bool read_exact(void* buf, std::size_t len, std::uint64_t off) const {
+    return read_at(buf, len, off) == len;
+  }
+
+  [[nodiscard]] std::vector<std::uint8_t> read_whole() const {
+    std::vector<std::uint8_t> bytes(size());
+    // Concurrent truncate: scan whatever we got.
+    bytes.resize(read_at(bytes.data(), bytes.size(), 0));
+    return bytes;
+  }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+};
 
 std::uint64_t record_digest(const std::uint8_t* rec, std::uint64_t len) {
   StateHash h;
@@ -114,7 +151,9 @@ std::uint64_t record_digest(const std::uint8_t* rec, std::uint64_t len) {
   return h.value();
 }
 
-/// Everything scan_image recovers beyond the public ContainerScanResult.
+/// Everything an operation needs beyond the public ContainerScanResult.
+/// Filled either by index_state (the fast path) or by scan_image (the
+/// recovery path); the two agree on every undamaged container.
 struct ScanState {
   ContainerScanResult result;
   bool header_ok = false;  ///< false: rewrite the header before appending
@@ -237,12 +276,149 @@ ScanState scan_image(const std::string& path,
   return s;
 }
 
-std::vector<std::uint8_t> encode_record(std::uint32_t kind,
-                                        std::uint64_t spec, std::uint64_t seq,
-                                        const std::uint8_t* payload,
-                                        std::uint64_t len) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kRecOverhead + len);
+/// The fast path: the header, the footer and the index record it points
+/// at, plus the 32-byte header of every indexed record — O(index), never
+/// a byte of record payload. next_seq, data_end and the byte counts
+/// follow from the index alone (a clean container holds only checkpoint
+/// records between the header and the index, so dead = index_offset -
+/// header - live). Returns nullopt on any doubt; the caller then runs the
+/// recovery scan, so this must never accept a damaged tail but may
+/// reject anything unusual. Record digests are checked by whoever reads
+/// the record (read_payload).
+std::optional<ScanState> index_state(const ReadFile& f) {
+  const std::uint64_t size = f.size();
+  if (size < kHeaderSize + kRecOverhead + 8 + kFooterSize) return std::nullopt;
+  std::uint8_t header[kHeaderSize];
+  std::uint8_t footer[kFooterSize];
+  if (!f.read_exact(header, kHeaderSize, 0) ||
+      std::memcmp(header, kMagic, 8) != 0 ||
+      get_u32(header + 8) != kVersion ||
+      !f.read_exact(footer, kFooterSize, size - kFooterSize) ||
+      std::memcmp(footer + 8, kFooterMagic, 8) != 0)
+    return std::nullopt;
+
+  // The index record must end exactly where the footer starts. A torn
+  // erase (new, shorter tail written; truncate not yet done) leaves a
+  // stale footer at EOF that still points at the new index, one footer
+  // length short of it.
+  const std::uint64_t index_offset = get_u64(footer);
+  const std::uint64_t index_end = size - kFooterSize;
+  if (index_offset < kHeaderSize || index_offset > index_end - kRecOverhead - 8)
+    return std::nullopt;
+  std::vector<std::uint8_t> index(index_end - index_offset);
+  if (!f.read_exact(index.data(), index.size(), index_offset))
+    return std::nullopt;
+  const std::uint64_t len = index.size() - kRecOverhead;
+  const std::uint8_t* p = index.data() + kRecHeaderSize;
+  if (std::memcmp(index.data(), kRecMagic, 4) != 0 ||
+      get_u32(index.data() + 4) != kKindIndex ||
+      get_u64(index.data() + 24) != len ||
+      record_digest(index.data(), len) != get_u64(p + len) ||
+      (len - 8) % 16 != 0 || get_u64(p) != (len - 8) / 16)
+    return std::nullopt;
+
+  ScanState s;
+  s.result.exists = true;
+  s.result.clean = true;
+  s.result.file_size = size;
+  s.result.valid_end = size;
+  s.header_ok = true;
+  s.data_end = index_offset;
+  s.next_seq = get_u64(index.data() + 16) + 1;
+  const std::uint64_t count = get_u64(p);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t spec = get_u64(p + 8 + i * 16);
+    const std::uint64_t off = get_u64(p + 16 + i * 16);
+    std::uint8_t rec[kRecHeaderSize];
+    if ((i > 0 && spec <= s.result.entries.back().spec) ||
+        off < kHeaderSize || off > index_offset ||
+        index_offset - off < kRecOverhead ||
+        !f.read_exact(rec, kRecHeaderSize, off) ||
+        std::memcmp(rec, kRecMagic, 4) != 0 ||
+        get_u32(rec + 4) != kKindCheckpoint || get_u64(rec + 8) != spec ||
+        get_u64(rec + 24) > index_offset - off - kRecOverhead)
+      return std::nullopt;
+    const ContainerEntry e{spec, get_u64(rec + 16), off, get_u64(rec + 24)};
+    s.next_seq = std::max(s.next_seq, e.seq + 1);
+    s.live_bytes += kRecOverhead + e.payload_len;
+    s.result.entries.push_back(e);
+  }
+  if (s.live_bytes > index_offset - kHeaderSize) return std::nullopt;
+  s.result.dead_bytes = index_offset - kHeaderSize - s.live_bytes;
+  return s;
+}
+
+/// Reads the record `e` names and checks its digest; nullopt when the
+/// record is damaged.
+std::optional<std::vector<std::uint8_t>> read_payload(
+    const ReadFile& f, const ContainerEntry& e) {
+  std::uint8_t head[kRecHeaderSize];
+  std::uint8_t digest[8];
+  std::vector<std::uint8_t> payload(e.payload_len);
+  const std::uint64_t at = e.offset + kRecHeaderSize;
+  if (!f.read_exact(head, kRecHeaderSize, e.offset) ||
+      !f.read_exact(payload.data(), payload.size(), at) ||
+      !f.read_exact(digest, 8, at + e.payload_len))
+    return std::nullopt;
+  StateHash h;
+  h.update(head, kRecHeaderSize);
+  h.update(payload.data(), payload.size());
+  if (h.value() != get_u64(digest)) return std::nullopt;
+  return payload;
+}
+
+/// What one locked operation knows about the container: the fast path's
+/// state when the index verifies, else the recovery scan's state plus the
+/// whole image that scan read.
+struct View {
+  ScanState s;
+  bool indexed = false;
+  std::vector<std::uint8_t> image;  ///< recovery path only
+
+  View(const ReadFile& f, const std::string& path) {
+    if (!f.exists()) return;  // s.result.exists = false
+    if (std::optional<ScanState> fast = index_state(f)) {
+      s = std::move(*fast);
+      indexed = true;
+    } else {
+      recover(f, path);
+    }
+  }
+
+  /// Drops to the front-to-back recovery scan (the single torn-tail path).
+  void recover(const ReadFile& f, const std::string& path) {
+    image = f.read_whole();
+    s = scan_image(path, image);
+    indexed = false;
+  }
+
+  /// Recovery when any live record fails its digest: the view scan and
+  /// repair report (--fsck). Dead records are never read.
+  void verify_live(const ReadFile& f, const std::string& path) {
+    if (!indexed) return;
+    for (const ContainerEntry& e : s.result.entries)
+      if (!read_payload(f, e)) return recover(f, path);
+  }
+
+  [[nodiscard]] const ContainerEntry* find(std::uint64_t spec) const {
+    for (const ContainerEntry& e : s.result.entries)
+      if (e.spec == spec) return &e;
+    return nullptr;
+  }
+
+  /// e's payload inside the recovery image (the scan checked its digest).
+  [[nodiscard]] const std::uint8_t* image_payload(
+      const ContainerEntry& e) const {
+    return image.data() + e.offset + kRecHeaderSize;
+  }
+};
+
+/// Appends one sealed record to `out`.
+void append_record(std::vector<std::uint8_t>& out, std::uint32_t kind,
+                   std::uint64_t spec, std::uint64_t seq,
+                   const std::uint8_t* payload, std::uint64_t len) {
+  const std::size_t start = out.size();
+  out.reserve(start + kRecOverhead + len);
   out.insert(out.end(), kRecMagic, kRecMagic + 4);
   put_u32(out, kind);
   put_u64(out, spec);
@@ -250,9 +426,8 @@ std::vector<std::uint8_t> encode_record(std::uint32_t kind,
   put_u64(out, len);
   out.insert(out.end(), payload, payload + len);
   StateHash h;
-  h.update(out.data(), out.size());
+  h.update(out.data() + start, out.size() - start);
   put_u64(out, h.value());
-  return out;
 }
 
 /// index record (listing `entries`, which must be sorted) + footer, laid
@@ -266,8 +441,8 @@ std::vector<std::uint8_t> encode_index_and_footer(
     put_u64(payload, e.spec);
     put_u64(payload, e.offset);
   }
-  std::vector<std::uint8_t> out =
-      encode_record(kKindIndex, 0, seq, payload.data(), payload.size());
+  std::vector<std::uint8_t> out;
+  append_record(out, kKindIndex, 0, seq, payload.data(), payload.size());
   put_u64(out, at);  // footer: offset of the index record we just wrote
   out.insert(out.end(), kFooterMagic, kFooterMagic + 8);
   return out;
@@ -279,47 +454,32 @@ std::vector<std::uint8_t> header_bytes() {
   return h;
 }
 
-/// Serializes exactly the live records of `image` into a fresh clean
-/// container image (used by compaction).
-std::vector<std::uint8_t> compacted_image(
-    const ScanState& s, const std::vector<std::uint8_t>& image) {
+/// Serializes exactly the live records into a fresh clean container
+/// image (used by compaction). On the fast path each live record is read
+/// and digest-checked first; a damaged one sends the view to recovery and
+/// compaction starts over from what the recovery scan kept, so damaged
+/// bytes never get sealed under a fresh digest.
+std::vector<std::uint8_t> compacted_image(View& v, const ReadFile& f,
+                                          const std::string& path) {
   std::vector<std::uint8_t> out = header_bytes();
   std::vector<ContainerEntry> moved;
   std::uint64_t seq = 1;
-  for (const ContainerEntry& e : s.result.entries) {
-    const std::uint8_t* payload =
-        image.data() + e.offset + kRecHeaderSize;
-    const std::vector<std::uint8_t> rec = encode_record(
-        kKindCheckpoint, e.spec, seq, payload, e.payload_len);
+  for (const ContainerEntry& e : v.s.result.entries) {
+    std::optional<std::vector<std::uint8_t>> read;
+    if (v.indexed && !(read = read_payload(f, e))) {
+      v.recover(f, path);
+      return compacted_image(v, f, path);
+    }
     moved.push_back({e.spec, seq, out.size(), e.payload_len});
-    out.insert(out.end(), rec.begin(), rec.end());
+    append_record(out, kKindCheckpoint, e.spec, seq,
+                  v.indexed ? read->data() : v.image_payload(e),
+                  e.payload_len);
     ++seq;
   }
   const std::vector<std::uint8_t> tail =
       encode_index_and_footer(moved, seq, out.size());
   out.insert(out.end(), tail.begin(), tail.end());
   return out;
-}
-
-/// Read + scan under the caller's lock; returns the raw image too.
-ScanState scan_locked(const std::string& path,
-                      std::vector<std::uint8_t>* image_out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return ScanState{};  // exists=false
-    fail(path, std::string("open: ") + std::strerror(errno));
-  }
-  std::vector<std::uint8_t> image;
-  try {
-    image = read_whole(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  ScanState s = scan_image(path, image);
-  if (image_out != nullptr) *image_out = std::move(image);
-  return s;
 }
 
 /// Writes index + footer at `at`, truncates to the exact end, fsyncs.
@@ -338,21 +498,24 @@ void finish_tail(IoEnv& io, int fd, const std::string& path,
 
 ContainerScanResult container_scan(const std::string& path) {
   ContainerLock lock(path);
-  return scan_locked(path, nullptr).result;
+  const ReadFile f(path);
+  View v(f, path);
+  v.verify_live(f, path);
+  return std::move(v.s.result);
 }
 
 void container_put(const std::string& path, std::uint64_t spec,
                    const std::vector<std::uint8_t>& payload) {
   ContainerLock lock(path);
   IoEnv& io = IoEnv::instance();
-  std::vector<std::uint8_t> image;
-  ScanState s = scan_locked(path, &image);
-
-  if (s.result.dead_bytes > kCompactMinDeadBytes &&
-      s.result.dead_bytes > s.live_bytes) {
-    io.write_file_atomic_durable(path, compacted_image(s, image));
-    s = scan_locked(path, &image);
+  const ReadFile f(path);
+  View v(f, path);
+  if (v.s.result.dead_bytes > kCompactMinDeadBytes &&
+      v.s.result.dead_bytes > v.s.live_bytes) {
+    io.write_file_atomic_durable(path, compacted_image(v, f, path));
+    v = View(ReadFile(path), path);  // the compacted file replaced f's
   }
+  const ScanState& s = v.s;
 
   const int fd = io.open_rw(path);
   try {
@@ -363,8 +526,9 @@ void container_put(const std::string& path, std::uint64_t spec,
       at = kHeaderSize;
     }
     const std::uint64_t seq = s.next_seq;
-    const std::vector<std::uint8_t> rec = encode_record(
-        kKindCheckpoint, spec, seq, payload.data(), payload.size());
+    std::vector<std::uint8_t> rec;
+    append_record(rec, kKindCheckpoint, spec, seq, payload.data(),
+                  payload.size());
     io.pwrite_all(fd, path, rec.data(), rec.size(), at);
 
     std::vector<ContainerEntry> entries = s.result.entries;
@@ -392,25 +556,27 @@ void container_put(const std::string& path, std::uint64_t spec,
 std::optional<std::vector<std::uint8_t>> container_get(
     const std::string& path, std::uint64_t spec) {
   ContainerLock lock(path);
-  std::vector<std::uint8_t> image;
-  const ScanState s = scan_locked(path, &image);
-  if (!s.result.exists) return std::nullopt;
-  for (const ContainerEntry& e : s.result.entries) {
-    if (e.spec != spec) continue;
-    const std::uint8_t* payload = image.data() + e.offset + kRecHeaderSize;
-    return std::vector<std::uint8_t>(payload, payload + e.payload_len);
+  const ReadFile f(path);
+  View v(f, path);
+  const ContainerEntry* e = v.find(spec);
+  if (e != nullptr && v.indexed) {
+    if (std::optional<std::vector<std::uint8_t>> payload = read_payload(f, *e))
+      return payload;
+    v.recover(f, path);  // the indexed record is damaged
+    e = v.find(spec);
   }
-  return std::nullopt;
+  if (e == nullptr) return std::nullopt;
+  const std::uint8_t* payload = v.image_payload(*e);
+  return std::vector<std::uint8_t>(payload, payload + e->payload_len);
 }
 
 void container_erase(const std::string& path, std::uint64_t spec) {
   ContainerLock lock(path);
-  const ScanState s = scan_locked(path, nullptr);
-  if (!s.result.exists) return;
-  const bool present = std::any_of(
-      s.result.entries.begin(), s.result.entries.end(),
-      [&](const ContainerEntry& e) { return e.spec == spec; });
-  if (!present && s.result.clean) return;
+  const ReadFile f(path);
+  const View v(f, path);
+  const ScanState& s = v.s;
+  if (!s.result.exists || (v.find(spec) == nullptr && s.result.clean))
+    return;
 
   std::vector<ContainerEntry> entries;
   for (const ContainerEntry& e : s.result.entries)
@@ -429,16 +595,20 @@ void container_erase(const std::string& path, std::uint64_t spec) {
 
 void container_compact(const std::string& path) {
   ContainerLock lock(path);
-  std::vector<std::uint8_t> image;
-  const ScanState s = scan_locked(path, &image);
-  if (!s.result.exists || (s.result.clean && s.result.dead_bytes == 0))
+  const ReadFile f(path);
+  View v(f, path);
+  if (!v.s.result.exists || (v.s.result.clean && v.s.result.dead_bytes == 0))
     return;
-  IoEnv::instance().write_file_atomic_durable(path, compacted_image(s, image));
+  IoEnv::instance().write_file_atomic_durable(path,
+                                              compacted_image(v, f, path));
 }
 
 bool container_repair(const std::string& path) {
   ContainerLock lock(path);
-  const ScanState s = scan_locked(path, nullptr);
+  const ReadFile f(path);
+  View v(f, path);
+  v.verify_live(f, path);
+  const ScanState& s = v.s;
   if (!s.result.exists || s.result.clean) return false;
 
   IoEnv& io = IoEnv::instance();

@@ -22,10 +22,28 @@
 // survived — the previous checkpoint of the spec being written is one of
 // the surviving records.
 //
-// Every read validates digests; every mutation runs under an exclusive
-// flock(2) on a sibling `<path>.lock` file (never renamed, so the lock
-// stays valid across in-place compaction), which serializes both
-// concurrent sweep threads and isolated worker processes. Mutations go
+// What each operation reads and verifies. Every operation runs under an
+// exclusive flock(2) on a sibling `<path>.lock` file (never renamed, so
+// the lock stays valid across in-place compaction), which serializes both
+// concurrent sweep threads and isolated worker processes. It then reads
+// the 12-byte header, the 16-byte footer at EOF and the index record the
+// footer points at, and checks the header's magic and version, the
+// index's digest, that the index ends exactly at the footer, and that
+// every indexed offset holds a checkpoint record header of that spec
+// which fits below the index. Beyond that:
+//   - container_get reads and digest-checks only the record it returns;
+//   - container_put appends one record plus a new tail;
+//   - container_erase rewrites only the tail;
+//   - compaction reads and digest-checks only the live records it
+//     re-seals;
+//   - container_scan and container_repair (--fsck) digest-check every
+//     live record.
+// Dead records are never read, so damage there is invisible until
+// compaction drops it. An operation therefore costs O(index + the
+// records it touches), not O(file). Any doubt — a bad header, footer or
+// index, a length that doesn't end at the footer, or a read record whose
+// digest fails — falls back to the front-to-back recovery scan above,
+// the one torn-tail path, which digest-checks every record. Mutations go
 // through the IoEnv primitives and are therefore both durable (fsync
 // before the cut-over points) and fault-injectable.
 #pragma once
@@ -45,22 +63,24 @@ struct ContainerEntry {
   std::uint64_t payload_len = 0;
 };
 
-/// What a front-to-back validation scan found.
+/// What a validation scan found.
 struct ContainerScanResult {
   bool exists = false;        ///< false: no file (all else defaulted)
-  bool clean = false;         ///< footer + index present and consistent
+  bool clean = false;         ///< footer, index and live records verify
   std::uint64_t file_size = 0;
   std::uint64_t valid_end = 0;   ///< offset after the last intact record
   std::uint64_t dead_bytes = 0;  ///< superseded record bytes (compactable)
   std::vector<ContainerEntry> entries;  ///< live entries, sorted by spec
 };
 
-/// Validates `path` front to back without modifying it. A torn tail
-/// (bytes past valid_end that don't form intact records + footer) makes
-/// clean=false; the entries recovered before the tear are still
-/// returned. Throws SnapshotError (naming the path) only for damage a
-/// scan cannot step over: a missing/oversized header or an unreadable
-/// file. A nonexistent path is not an error (exists=false).
+/// Validates `path` without modifying it: the index and every live
+/// record when the index verifies, else front to back. A torn tail (bytes
+/// past valid_end that don't form intact records + footer) or a damaged
+/// live record makes clean=false; the entries the recovery scan finds
+/// before the damage are still returned. Throws SnapshotError (naming
+/// the path) only for damage a scan cannot step over: a missing/oversized
+/// header or an unreadable file. A nonexistent path is not an error
+/// (exists=false).
 ContainerScanResult container_scan(const std::string& path);
 
 /// Appends `payload` as spec's new checkpoint (creating the container if
@@ -83,9 +103,11 @@ void container_erase(const std::string& path, std::uint64_t spec);
 /// write) when the file is already clean and fully live.
 void container_compact(const std::string& path);
 
-/// Truncates a torn tail and rewrites the index + footer so a scan
-/// reports clean. Returns true when the file was modified (--fsck's
-/// "repaired" signal), false when it was already clean or absent.
+/// Truncates a torn tail (or everything from the first damaged record on)
+/// and rewrites the index + footer so a scan reports clean. Damage to
+/// dead records alone leaves the file as it is. Returns true when the
+/// file was modified (--fsck's "repaired" signal), false when it was
+/// already clean or absent.
 bool container_repair(const std::string& path);
 
 }  // namespace dftmsn::snapshot

@@ -2,7 +2,9 @@
 // semantics, index-authoritative liveness, torn-tail recovery, repair,
 // compaction, and rejection of foreign files — plus the crash-tolerance
 // contract, exercised by injecting crashes at every container write
-// boundary and requiring the previous generation to survive.
+// boundary and requiring the previous generation to survive, and the
+// index-first read path: damage to dead bytes is invisible, damage to a
+// live record falls back to recovery and is never re-sealed.
 #include "snapshot/ckpt_container.hpp"
 
 #include <gtest/gtest.h>
@@ -39,6 +41,33 @@ std::vector<std::uint8_t> payload(std::uint64_t spec, std::size_t len) {
     p[i] = static_cast<std::uint8_t>((spec * 131 + i * 7) & 0xff);
   return p;
 }
+
+void flip_byte(const std::string& path, std::uint64_t at) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(at));
+  const char c = static_cast<char>(f.get());
+  f.seekp(static_cast<std::streamoff>(at));
+  f.put(static_cast<char>(c ^ 0x5a));
+}
+
+std::uint64_t offset_of(const std::string& path, std::uint64_t spec) {
+  for (const ContainerEntry& e : container_scan(path).entries)
+    if (e.spec == spec) return e.offset;
+  ADD_FAILURE() << "spec " << spec << " not in " << path;
+  return 0;
+}
+
+/// FNV-1a over the whole file: pins exact container bytes.
+std::uint64_t file_digest(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  StateHash h;
+  h.update(bytes.data(), bytes.size());
+  return h.value();
+}
+
+// Record layout: 32-byte header (magic, kind, spec, seq, len) before the
+// payload.
+constexpr std::uint64_t kRecHeader = 32;
 
 void append_garbage(const std::string& path, std::size_t n) {
   std::ofstream f(path, std::ios::binary | std::ios::app);
@@ -200,6 +229,121 @@ TEST(CkptContainer, CompactionDropsDeadBytesAndKeepsEveryEntry) {
   EXPECT_EQ(*container_get(path, 1), payload(15, 200));
   EXPECT_EQ(*container_get(path, 2), payload(25, 200));
   EXPECT_FALSE(container_get(path, 3).has_value());
+}
+
+TEST(CkptContainer, DeadRecordDamageNeverTouchesLiveEntries) {
+  TempDir dir("cc_deadflip.tmp");
+  const std::string path = dir.path + "/c.dcc";
+  container_put(path, 1, payload(10, 300));
+  const std::uint64_t dead_at = offset_of(path, 1);
+  container_put(path, 2, payload(20, 300));
+  container_put(path, 1, payload(11, 300));
+
+  // The superseded generation of spec 1 is dead bytes: no operation reads
+  // it, so damaging it changes nothing a caller can observe.
+  flip_byte(path, dead_at + kRecHeader + 17);
+  ContainerScanResult s = container_scan(path);
+  EXPECT_TRUE(s.clean);
+  ASSERT_EQ(s.entries.size(), 2u);
+  EXPECT_EQ(*container_get(path, 1), payload(11, 300));
+  EXPECT_EQ(*container_get(path, 2), payload(20, 300));
+  EXPECT_FALSE(container_repair(path));  // --fsck keeps both entries
+  ASSERT_EQ(container_scan(path).entries.size(), 2u);
+
+  container_put(path, 2, payload(21, 300));
+  EXPECT_EQ(*container_get(path, 2), payload(21, 300));
+  container_erase(path, 1);
+  s = container_scan(path);
+  EXPECT_TRUE(s.clean);
+  ASSERT_EQ(s.entries.size(), 1u);
+  EXPECT_FALSE(container_get(path, 1).has_value());
+  EXPECT_EQ(*container_get(path, 2), payload(21, 300));
+
+  // Compaction drops the damaged dead record with the rest.
+  container_compact(path);
+  s = container_scan(path);
+  EXPECT_TRUE(s.clean);
+  EXPECT_EQ(s.dead_bytes, 0u);
+  EXPECT_EQ(*container_get(path, 2), payload(21, 300));
+}
+
+TEST(CkptContainer, LiveRecordDamageFallsBackAndIsNeverResealed) {
+  TempDir dir("cc_liveflip.tmp");
+  const std::string path = dir.path + "/c.dcc";
+  container_put(path, 1, payload(10, 300));
+  container_put(path, 2, payload(20, 300));
+  container_put(path, 1, payload(11, 300));
+
+  // The index still verifies; only spec 1's live record is damaged.
+  flip_byte(path, offset_of(path, 1) + kRecHeader + 17);
+  EXPECT_FALSE(container_scan(path).clean);
+  // get falls back to the recovery scan: the older generation, never the
+  // damaged bytes.
+  EXPECT_EQ(*container_get(path, 1), payload(10, 300));
+  EXPECT_EQ(*container_get(path, 2), payload(20, 300));
+
+  // Compaction re-seals only what verifies, so the damaged generation
+  // never comes back under a fresh digest.
+  container_compact(path);
+  const ContainerScanResult s = container_scan(path);
+  EXPECT_TRUE(s.clean);
+  EXPECT_EQ(s.dead_bytes, 0u);
+  EXPECT_EQ(*container_get(path, 1), payload(10, 300));
+  EXPECT_EQ(*container_get(path, 2), payload(20, 300));
+
+  // With no older generation to fall back to, the entry is lost (the
+  // spec re-runs) rather than surfaced damaged.
+  const std::string lone = dir.path + "/lone.dcc";
+  container_put(lone, 4, payload(40, 300));
+  flip_byte(lone, offset_of(lone, 4) + kRecHeader + 5);
+  EXPECT_FALSE(container_get(lone, 4).has_value());
+}
+
+TEST(CkptContainer, TornEraseTailIsRejectedAndRecovered) {
+  EnvGuard guard;
+  TempDir dir("cc_tornerase.tmp");
+  const std::string path = dir.path + "/c.dcc";
+  container_put(path, 1, payload(10, 200));
+  container_put(path, 2, payload(20, 200));
+  const auto size_before = fs::file_size(path);
+
+  // Crash right after erase wrote its new (one entry shorter) index +
+  // footer, before the truncate: the old footer is still at EOF and
+  // points at the new index, which now ends 16 bytes short of it.
+  IoEnv::instance().set_schedule_spec("crash-after@write#1");
+  EXPECT_THROW(container_erase(path, 1), InjectedCrash);
+  IoEnv::instance().reset();
+  EXPECT_EQ(fs::file_size(path), size_before);
+
+  const ContainerScanResult s = container_scan(path);
+  EXPECT_FALSE(s.clean);
+  EXPECT_EQ(*container_get(path, 2), payload(20, 200));
+  const auto erased = container_get(path, 1);
+  EXPECT_TRUE(!erased || *erased == payload(10, 200));
+
+  EXPECT_TRUE(container_repair(path));
+  EXPECT_TRUE(container_scan(path).clean);
+  EXPECT_EQ(*container_get(path, 2), payload(20, 200));
+}
+
+TEST(CkptContainer, CompactionBytesArePinned) {
+  TempDir dir("cc_compact_pin.tmp");
+  const std::string path = dir.path + "/c.dcc";
+  // 120 KiB payloads cross the automatic-compaction threshold twice
+  // during the puts; the explicit compaction after the erase is the third
+  // rewrite. The pins are the bytes of the v1 layout written by the
+  // whole-file-scan implementation, so any change to compaction output
+  // (record order, seq renumbering, offsets) fails here.
+  for (int gen = 0; gen < 4; ++gen)
+    for (std::uint64_t spec : {1u, 2u, 3u})
+      container_put(path, spec, payload(spec * 10 + gen, 120 * 1024));
+  EXPECT_EQ(fs::file_size(path), 491804u);
+  EXPECT_EQ(file_digest(path), 0x1b19c9dca92ec269ull);
+
+  container_erase(path, 2);
+  container_compact(path);
+  EXPECT_EQ(fs::file_size(path), 245948u);
+  EXPECT_EQ(file_digest(path), 0xc672423393dfd8c7ull);
 }
 
 TEST(CkptContainer, CrashAtEveryWriteBoundaryNeverLosesThePreviousPut) {
