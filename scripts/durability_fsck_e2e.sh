@@ -9,8 +9,8 @@
 #   2. torn-write crash (crash@write#N:bytes=K tears a record mid-buffer,
 #      then the process _exit(9)s) -> --fsck repairs (exit 7 or 0)
 #      -> --resume finishes with aggregates identical to the clean run
-#   3. deliberate container corruption (byte flip in the record area)
-#      -> --fsck repairs -> --resume still completes
+#   3. deliberate container corruption (byte flip in the one live record)
+#      -> --fsck repairs (exit 7) -> --resume still completes
 #
 # Exit codes under test: 0 clean, 7 repaired, 9 injected crash
 # (docs/durability.md).
@@ -62,24 +62,24 @@ diff <(aggregates "$WORK/ref.out") <(aggregates "$WORK/torn.resume") \
   || fail "resumed aggregates differ from the uninterrupted run"
 
 # --- leg 3: corrupt a container record -> fsck repairs -> resume -----------
-# Interrupt a sweep at its first checkpoint so live entries stay in the
-# container, then flip one byte in the record area (past the 12-byte
-# header) and let fsck drop whatever that damaged.
+# Interrupt a sweep right after its first durable checkpoint (the 1st
+# fsync is the manifest's, the 2nd the first container put's) so a live
+# entry stays in the container, then flip one byte in that record (past
+# the 12-byte header) and let fsck drop what it damaged.
 mkdir -p "$WORK/corrupt"
-DFTMSN_IO_FAULTS='crash@rename#2' \
+DFTMSN_IO_FAULTS='crash-after@fsync#2' \
   run_sweep "$WORK/corrupt" > "$WORK/corrupt.out" 2>&1
 rc=$?
 [ "$rc" -eq 9 ] || { cat "$WORK/corrupt.out" >&2; fail "setup crash exited $rc (want 9)"; }
 CONTAINER="$WORK/corrupt/checkpoints.dcc"
-if [ -s "$CONTAINER" ]; then
-  printf '\xa5' | dd of="$CONTAINER" bs=1 seek=40 conv=notrunc status=none \
-    || fail "could not flip a container byte"
-fi
+[ -s "$CONTAINER" ] || fail "no checkpoint container to corrupt after the setup crash"
+printf '\xa5' | dd of="$CONTAINER" bs=1 seek=40 conv=notrunc status=none \
+  || fail "could not flip a container byte"
 
 "$CLI" --fsck "$WORK/corrupt" > "$WORK/corrupt.fsck" 2>&1
 rc=$?
-[ "$rc" -eq 7 ] || [ "$rc" -eq 0 ] \
-  || { cat "$WORK/corrupt.fsck" >&2; fail "fsck on corrupt container exited $rc (want 0 or 7)"; }
+[ "$rc" -eq 7 ] \
+  || { cat "$WORK/corrupt.fsck" >&2; fail "fsck on corrupt container exited $rc (want 7)"; }
 # fsck must leave the directory clean: a second pass finds nothing.
 "$CLI" --fsck "$WORK/corrupt" > "$WORK/corrupt.fsck2" 2>&1
 rc=$?

@@ -14,7 +14,9 @@ constexpr char kMagic[8] = {'D', 'F', 'T', 'M', 'S', 'N', 'C', 'K'};
 // trace_mobility model section, and the registered config key set (which
 // feeds the meta config digest) gained scenario.trace_path. Strict
 // equality check: older files are rejected, not migrated.
-constexpr std::uint32_t kFormatVersion = 3;
+// v4: each random stream's "rng" section holds one u64 (the SplitMix64
+// state) instead of the mt19937_64 engine as decimal text.
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr std::size_t kDigestBytes = 8;
 
 }  // namespace

@@ -70,16 +70,16 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 
 TEST(PerfIdentity, GoldenTrajectoryPin) {
   const RunResult r = run_once(pin_config(4242), ProtocolKind::kOpt);
-  EXPECT_EQ(r.generated, 371u);
-  EXPECT_EQ(r.delivered, 177u);
-  EXPECT_EQ(r.collisions, 17u);
-  EXPECT_EQ(r.attempts, 11376u);
-  EXPECT_EQ(r.failed_attempts, 10938u);
-  EXPECT_EQ(r.data_transmissions, 344u);
+  EXPECT_EQ(r.generated, 399u);
+  EXPECT_EQ(r.delivered, 169u);
+  EXPECT_EQ(r.collisions, 64u);
+  EXPECT_EQ(r.attempts, 12676u);
+  EXPECT_EQ(r.failed_attempts, 11215u);
+  EXPECT_EQ(r.data_transmissions, 951u);
   EXPECT_EQ(r.drops_overflow, 0u);
-  EXPECT_EQ(r.drops_threshold, 0u);
-  EXPECT_EQ(r.drops_delivered, 185u);
-  EXPECT_EQ(r.events_executed, 51755u);
+  EXPECT_EQ(r.drops_threshold, 59u);
+  EXPECT_EQ(r.drops_delivered, 169u);
+  EXPECT_EQ(r.events_executed, 65860u);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,14 +44,14 @@ struct GoldenRow {
 
 // Recorded with DFTMSN_PRINT_GOLDENS=1 (see header comment).
 constexpr GoldenRow kGoldens[] = {
-    {"dense-urban", ProtocolKind::kOpt, 0.74261922785768353, 343.55283013828426, 1.4175189338463596, 2642, 1962, 2047, 13408, 595093},
-    {"dense-urban", ProtocolKind::kZbr, 0.7278576835730507, 345.02414422467126, 1.3260184849501608, 2642, 1923, 2218, 12108, 627863},
-    {"sparse-rural", ProtocolKind::kOpt, 0.16510318949343339, 837.03332344080093, 0.88504229454434746, 533, 88, 2, 194, 54053},
-    {"sparse-rural", ProtocolKind::kZbr, 0.13133208255159476, 690.78145044675853, 0.86724860356611244, 533, 70, 2, 117, 52443},
-    {"convoy", ProtocolKind::kOpt, 0.03826086956521739, 773.38101296667821, 0.77897630177056021, 575, 22, 9, 100, 48716},
-    {"convoy", ProtocolKind::kZbr, 0.043478260869565216, 891.13070634158964, 0.78445596385766159, 575, 25, 25, 175, 52070},
-    {"mass-event", ProtocolKind::kOpt, 0.30959125859975717, 260.64308688111277, 5.5947151971875595, 2471, 765, 147040, 16915, 1221510},
-    {"mass-event", ProtocolKind::kZbr, 0.15216511533791988, 378.09593074821163, 3.5029725600742214, 2471, 376, 85080, 5290, 817070},
+    {"dense-urban", ProtocolKind::kOpt, 0.7930147058823529, 277.35577994338371, 1.3910724333779199, 2720, 2157, 2211, 13675, 604824},
+    {"dense-urban", ProtocolKind::kZbr, 0.70588235294117652, 335.06895976683933, 1.4961719426679367, 2720, 1920, 3341, 14228, 703373},
+    {"sparse-rural", ProtocolKind::kOpt, 0, 0, 0.85663234502328689, 503, 0, 0, 0, 50968},
+    {"sparse-rural", ProtocolKind::kZbr, 0, 0, 0.85819468057844617, 503, 0, 0, 111, 54843},
+    {"convoy", ProtocolKind::kOpt, 0, 0, 0.76078570851624994, 535, 0, 0, 0, 48547},
+    {"convoy", ProtocolKind::kZbr, 0, 0, 0.82050083791455641, 535, 0, 31, 323, 58610},
+    {"mass-event", ProtocolKind::kOpt, 0.34575733544805709, 374.98900278753348, 6.0250238472703233, 2522, 872, 145747, 19789, 1334255},
+    {"mass-event", ProtocolKind::kZbr, 0.19984139571768439, 417.91835607987667, 2.196366607273875, 2522, 504, 41288, 6108, 693734},
 };
 
 void expect_rel(double actual, double golden, const std::string& what) {
@@ -169,7 +169,7 @@ TEST(ScenarioConformance, StaleCheckpointFormatIsRejected) {
   std::vector<std::uint8_t> image = make_checkpoint(world);
   std::remove(cfg.scenario.trace_path.c_str());
 
-  image[8] = 2;  // u32 version little-endian, directly after the magic
+  image[8] = 3;  // u32 version little-endian, directly after the magic
   snapshot::StateHash h;
   h.update(image.data(), image.size() - 8);
   for (int i = 0; i < 8; ++i)
@@ -180,9 +180,9 @@ TEST(ScenarioConformance, StaleCheckpointFormatIsRejected) {
     FAIL() << "expected stale-version rejection";
   } catch (const snapshot::SnapshotError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported format version 2"), std::string::npos)
+    EXPECT_NE(what.find("unsupported format version 3"), std::string::npos)
         << what;
-    EXPECT_NE(what.find("this build reads version 3"), std::string::npos)
+    EXPECT_NE(what.find("this build reads version 4"), std::string::npos)
         << what;
     EXPECT_EQ(what.find('\n'), std::string::npos) << "one-line error: " << what;
   }
