@@ -12,11 +12,14 @@ cd "$(dirname "$0")"
   echo "BENCH_SUITE_DONE"
 } > bench_output.txt 2>&1
 
-# Scheduler scaling trajectory: the machine-readable events/sec curve
-# (format: docs/performance.md) next to the human-readable table that the
-# loop above already dropped into bench_output.txt.
+# Scheduler scaling trajectory: the machine-readable events/sec and
+# memory curve (format: docs/performance.md) next to the human-readable
+# table that the loop above already dropped into bench_output.txt.
+# --check flags a World build above 5 KB of resident memory per node.
 if [ -x build/bench/scheduler_scale ]; then
-  build/bench/scheduler_scale --out BENCH_scheduler.json > /dev/null
+  build/bench/scheduler_scale --check --out BENCH_scheduler.json \
+      > /dev/null ||
+    echo "scheduler_scale: World build above the KB/node budget" >&2
 fi
 
 # Checkpoint container op latency at 1/4/16 live records (format:
