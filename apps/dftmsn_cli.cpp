@@ -26,18 +26,14 @@
 //   9  a scripted I/O crash-point (DFTMSN_IO_FAULTS / --io-faults)
 //      terminated the process — test harnesses only
 //
-// Worker mode (`--worker FILE`, spawned by a supervising parent under
-// --isolate=process; not for interactive use) reuses 0/2/3 with the same
-// meanings and adds:
-//   6  the replication failed (structured error in the result file)
-// A worker killed by a signal (segv/abort fault plans, OOM, the parent's
+// Worker modes — `--worker FD` (spawned by a supervising parent under
+// --isolate=process, its link on descriptor FD; not for interactive use)
+// and `--connect HOST:PORT` (docs/distributed_sweeps.md) — exit 0 when
+// the other end reports the sweep done (or hangs up cleanly) and 2 on a
+// connect or wire-protocol failure. Simulation failures are *reported*
+// inside result frames, never through this process's exit code. A
+// worker killed by a signal (segv/abort fault plans, OOM, the parent's
 // watchdog) has no exit code; the parent decodes the wait status instead.
-//
-// Dispatch worker mode (`--connect HOST:PORT`, docs/distributed_sweeps.md)
-// exits 0 when the dispatcher reports the sweep done (or hangs up
-// cleanly) and 2 on a connect or wire-protocol failure. Simulation
-// failures are *reported* to the dispatcher inside result frames, never
-// through this process's exit code.
 #include <limits.h>
 #include <unistd.h>
 
@@ -123,8 +119,9 @@ int usage(int code) {
       "                    replication attempt in a spawned worker process\n"
       "                    so the sweep survives segfaults/aborts; clean\n"
       "                    runs are bit-identical to in-process\n"
-      "  --worker FILE     internal: run one replication attempt from a\n"
-      "                    sealed request file (spawned by --isolate=process)\n"
+      "  --worker FD       internal: run the replication attempt granted over\n"
+      "                    the inherited socket FD (spawned by\n"
+      "                    --isolate=process)\n"
       "distributed dispatch (see docs/distributed_sweeps.md):\n"
       "  --dispatch-port P serve the sweep as a lease-based work queue on\n"
       "                    TCP port P (0 = ephemeral port, announced as\n"
@@ -261,10 +258,15 @@ int main(int argc, char** argv) {
     };
     if (arg == "--help" || arg == "-h") return usage(0);
     if (arg == "--worker") {
-      // Worker mode short-circuits everything else: the request file is
-      // the whole contract (see worker_protocol.hpp).
+      // Worker mode short-circuits everything else: the link on the
+      // inherited descriptor is the whole contract (experiment/worker.hpp).
+      const std::string fd = next();
+      if (fd.empty() || fd.find_first_not_of("0123456789") != fd.npos) {
+        std::cerr << "--worker needs a file descriptor number\n";
+        return 2;
+      }
       snapshot::IoEnv::instance().set_scope(snapshot::IoScope::kWorker);
-      return run_worker(next());
+      return run_worker_link(std::atoi(fd.c_str()));
     }
     if (arg == "--connect") {
       // Dispatch-worker mode short-circuits the same way: the wire

@@ -22,18 +22,6 @@ namespace {
 
 using snapshot::SnapshotError;
 
-double bits_double(std::uint64_t u) {
-  double v = 0.0;
-  std::memcpy(&v, &u, sizeof(v));
-  return v;
-}
-
-std::string sanitize(std::string s) {
-  for (char& c : s)
-    if (c == '\n' || c == '\r') c = ' ';
-  return s;
-}
-
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -101,7 +89,7 @@ const char* frame_type_name(FrameType t) {
 
 std::vector<std::uint8_t> encode_hello_frame(const std::string& worker_name) {
   snapshot::Writer w;
-  w.u32(kDispatchWireVersion);
+  w.u32(kWorkerProtocolVersion);
   w.str(worker_name);
   return frame_payload(FrameType::kHello, w);
 }
@@ -147,12 +135,14 @@ std::vector<std::uint8_t> encode_result_frame(
 std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
                                                  std::uint64_t spec,
                                                  std::uint64_t events,
-                                                 std::uint64_t sim_time_bits) {
+                                                 std::uint64_t sim_time_bits,
+                                                 std::uint64_t checkpoint_seq) {
   snapshot::Writer w;
   w.u64(lease_id);
   w.u64(spec);
   w.u64(events);
   w.u64(sim_time_bits);
+  w.u64(checkpoint_seq);
   return frame_payload(FrameType::kHeartbeat, w);
 }
 
@@ -223,6 +213,7 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
         f.spec = r.u64();
         f.events = r.u64();
         f.sim_time_bits = r.u64();
+        f.checkpoint_seq = r.u64();
         break;
     }
     if (!r.at_end())
@@ -233,6 +224,34 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
   }
   *out = std::move(f);
   return total;
+}
+
+void check_hello(const WireFrame& f, const std::string& context) {
+  if (f.type != FrameType::kHello)
+    throw SnapshotError(context + ": expected hello, got " +
+                        frame_type_name(f.type));
+  if (f.version != kWorkerProtocolVersion)
+    throw SnapshotError(context + ": hello announces worker protocol v" +
+                        std::to_string(f.version) + "; this build speaks v" +
+                        std::to_string(kWorkerProtocolVersion));
+}
+
+bool read_frame(int fd, std::vector<std::uint8_t>& buf,
+                const std::string& context, WireFrame* out) {
+  std::uint8_t chunk[64 * 1024];
+  for (;;) {
+    const std::size_t used =
+        try_extract_frame(buf.data(), buf.size(), context, out);
+    if (used > 0) {
+      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
+      return true;
+    }
+    const ssize_t got = net::recv_some(fd, chunk, sizeof(chunk));
+    if (got == 0) return false;
+    if (got < 0)
+      throw net::NetError(context + ": recv: " + std::strerror(errno));
+    buf.insert(buf.end(), chunk, chunk + got);
+  }
 }
 
 namespace {
@@ -575,10 +594,7 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
           conn.buf.erase(conn.buf.begin(),
                          conn.buf.begin() + static_cast<std::ptrdiff_t>(used));
           if (!conn.said_hello) {
-            if (f.type != FrameType::kHello ||
-                f.version != kDispatchWireVersion)
-              throw SnapshotError(ctx + ": expected hello (wire version " +
-                                  std::to_string(kDispatchWireVersion) + ")");
+            check_hello(f, ctx);
             conn.said_hello = true;
             conn.name = f.worker_name.empty()
                             ? "fd" + std::to_string(fd)

@@ -1,25 +1,27 @@
-// Lease-based TCP work queue for supervised sweeps (worker protocol
-// v3's framed wire variant).
+// Lease-based TCP work queue for supervised sweeps, and the wire frames
+// every worker link speaks.
 //
 // The dispatcher runs inside the sweep parent (`--dispatch-port`): it
 // listens on a TCP socket (loopback by default, bindable for LAN) and
 // hands out batches of replication specs under time-bounded leases.
 // Pull-mode workers (`dftmsn_cli --connect HOST:PORT`) request work,
-// heartbeat while running, and stream back results. Every message is
-// one *frame*:
+// heartbeat while running, and stream back results. The locally spawned
+// workers of `--isolate process` run the same worker loop over a
+// socketpair (experiment/worker.hpp). Every message is one *frame*:
 //
-//   offset 0  u32   magic "DFW3" (0x33574644 little-endian)
+//   offset 0  u32   magic "DFW3" (0x33574644 little-endian; names the
+//                   frame layout, unchanged since protocol v3)
 //   offset 4  u8    frame type (FrameType)
 //   offset 5  u32   payload length (hard-capped; a hostile length field
 //                   cannot drive an allocation)
 //   offset 9  payload — snapshot::Writer-encoded fields per type
 //   tail      u64   FNV-1a digest of everything before it
 //
-// Spec configs and results cross the wire as the *same sealed container
-// images* the file-based worker protocol uses (encode_worker_request /
-// encode_worker_result), so both transports validate identical bytes.
+// Spec configs and results cross the wire as sealed container images
+// (encode_worker_request / encode_worker_result), validated on arrival.
 // A torn, truncated or tampered frame throws and drops the connection —
-// never a crash, never a silently wrong accept.
+// never a crash, never a silently wrong accept. The hello frame carries
+// kWorkerProtocolVersion; a worker of another version is refused.
 //
 // Failure semantics (docs/distributed_sweeps.md):
 //  - crash / hang / partition: the worker stops heartbeating (or its
@@ -64,11 +66,6 @@ inline constexpr std::size_t kDispatchFrameHeader = 9;
 inline constexpr std::size_t kDispatchFrameTrailer = 8;
 inline constexpr std::size_t kMaxDispatchPayload = 64u << 20;
 
-/// Version a worker announces in its hello frame; must match the
-/// dispatcher's build (the sealed payload images carry the worker
-/// protocol version gate on top of this).
-inline constexpr std::uint32_t kDispatchWireVersion = 3;
-
 enum class FrameType : std::uint8_t {
   kHello = 1,      ///< worker -> dispatcher: version + worker name
   kRequest = 2,    ///< worker -> dispatcher: give me a batch
@@ -104,6 +101,7 @@ struct WireFrame {
   std::vector<std::uint8_t> result;  ///< sealed encode_worker_result image
   std::uint64_t events = 0;
   std::uint64_t sim_time_bits = 0;
+  std::uint64_t checkpoint_seq = 0;  ///< checkpoints this attempt
 };
 
 std::vector<std::uint8_t> encode_hello_frame(const std::string& worker_name);
@@ -119,7 +117,8 @@ std::vector<std::uint8_t> encode_result_frame(std::uint64_t lease_id,
 std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
                                                  std::uint64_t spec,
                                                  std::uint64_t events,
-                                                 std::uint64_t sim_time_bits);
+                                                 std::uint64_t sim_time_bits,
+                                                 std::uint64_t checkpoint_seq);
 
 /// Tries to extract one complete frame from the front of `data`.
 /// Returns 0 when more bytes are needed, else the number of bytes
@@ -128,6 +127,17 @@ std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
 /// payload); the caller must drop the connection.
 std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
                               const std::string& context, WireFrame* out);
+
+/// Throws snapshot::SnapshotError naming `context` and both versions
+/// unless `f` is a hello of this build's kWorkerProtocolVersion.
+void check_hello(const WireFrame& f, const std::string& context);
+
+/// Blocks until one whole frame arrived on `fd`, buffering surplus bytes
+/// in `buf` for the next call. Returns false on a clean EOF; throws
+/// net::NetError on a socket error and snapshot::SnapshotError on a
+/// damaged frame.
+bool read_frame(int fd, std::vector<std::uint8_t>& buf,
+                const std::string& context, WireFrame* out);
 
 /// Retry/requeue policy the supervisor hands the dispatcher; mirrors
 /// the local supervision loop so a dispatched sweep makes the identical
@@ -184,12 +194,11 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
                         const DispatchPolicy& policy,
                         telemetry::StatusBoard* board, DispatchCallbacks cb);
 
-/// Worker side: connect to a dispatcher and pull spec batches until it
-/// reports the sweep done. Runs specs in-process (no checkpointing —
-/// fault recovery is the dispatcher's lease machinery), heartbeats
-/// while running, and streams sealed results back. Returns a process
-/// exit code: 0 clean, kWorkerExitBadRequest on connect/protocol
-/// failure.
+/// Worker side: connect to a dispatcher and run the worker loop
+/// (run_worker_link, experiment/worker.hpp) over the connection. Specs
+/// run without checkpointing — fault recovery is the dispatcher's lease
+/// machinery. Returns a process exit code: 0 clean,
+/// kWorkerExitBadRequest on connect/protocol failure.
 int run_dispatch_worker(const std::string& host, int port);
 
 }  // namespace dftmsn

@@ -1,17 +1,16 @@
 // Durable-state checker/repairer behind `dftmsn_cli --fsck DIR`.
 //
 // Scans a checkpoint directory for every file kind the sweep machinery
-// persists — the checkpoints.dcc container, manifest.txt, sealed worker
-// request/result files, shared-progress files, motion traces (*.trc) and
-// leftover *.tmp rename staging — classifies each as valid / torn /
-// stale / corrupt, and repairs what can be repaired without losing
-// intact data: torn container tails are truncated and the index
+// persists — the checkpoints.dcc container, manifest.txt, motion traces
+// (*.trc), leftover *.tmp rename staging, dispatch lease journals and the
+// worker files older builds left — classifies each as valid / torn /
+// stale / corrupt / leftover, and repairs what can be repaired without
+// losing intact data: torn container tails are truncated and the index
 // rebuilt, corrupt or stale container entries are dropped (that spec
-// re-runs), corrupt worker/trace/tmp files are deleted (all are
-// regenerated by the next run). A corrupt manifest is the one
-// unrepairable find: it holds completed results nothing can
-// reconstruct, so fsck reports it and leaves the decision (delete and
-// re-run the sweep) to the operator.
+// re-runs), corrupt traces and leftovers are deleted (nothing needs
+// them to resume). A corrupt manifest is the one unrepairable find: it
+// holds completed results nothing can reconstruct, so fsck reports it
+// and leaves the decision (delete and re-run the sweep) to the operator.
 //
 // Exit-code mapping (run_fsck itself doesn't exit): 0 everything valid,
 // 7 repairs were applied and the directory is now resumable, 2

@@ -25,11 +25,15 @@
 //     replication interrupted, and keep the manifest resumable.
 //
 // With IsolationMode::kProcess the same taxonomy applies across a
-// process boundary: each attempt runs in a spawned worker process, a
-// worker that dies by signal (segfault, abort, OOM kill) or reports an
-// error is retried from the spec's on-disk checkpoint, and a hung or
-// stopped worker is SIGKILLed by the watchdog instead of cooperatively
-// aborted (see worker_protocol.hpp for the parent/worker wire format).
+// process boundary. Every attempt runs through the one attempt executor
+// (experiment/worker.hpp), in this thread or in a spawned `--worker`
+// child that talks to the parent over a socketpair in the dispatch wire
+// frames: one grant, heartbeats that the parent mirrors into the slot
+// its watchdog and status sampler read, one result. A worker that dies
+// by signal (segfault, abort, OOM kill) or reports an error is retried
+// from the spec's on-disk checkpoint, and a hung or stopped worker is
+// SIGKILLed by the watchdog instead of cooperatively aborted. Both modes
+// share one retry/backoff/quarantine loop.
 #pragma once
 
 #include <atomic>
@@ -77,10 +81,11 @@ enum class IsolationMode : std::uint8_t {
   /// raises a real signal (segv/abort plans, genuine memory bugs) takes
   /// the whole sweep down.
   kInProcess,
-  /// In a spawned child process (`worker_exe --worker <request>`), one
-  /// per attempt. The parent survives any worker death — segfault,
-  /// abort, OOM kill — and retries from the last checkpoint. Clean runs
-  /// are bit-identical to kInProcess (equivalence test-enforced).
+  /// In a spawned child process (`worker_exe --worker 3`, its link on
+  /// descriptor 3), one per attempt. The parent survives any worker
+  /// death — segfault, abort, OOM kill — and retries from the last
+  /// checkpoint. Clean runs are bit-identical to kInProcess
+  /// (equivalence test-enforced).
   kProcess,
 };
 
@@ -118,10 +123,6 @@ struct SupervisorOptions {
   /// worker is always the very binary that built the sweep). Required
   /// when isolate == kProcess.
   std::string worker_exe;
-  /// Directory for worker request/result/progress files when no
-  /// checkpoint_dir is configured. Empty: a unique directory under the
-  /// system temp dir, removed when the sweep ends.
-  std::string scratch_dir;
   /// Live status/health/trace plane (purely observational).
   ObservabilityOptions obs;
   /// Lease-based TCP dispatch (experiment/dispatch.hpp). When enabled,
@@ -225,8 +226,8 @@ std::string manifest_path(const std::string& checkpoint_dir);
 std::string checkpoint_container_path(const std::string& checkpoint_dir);
 
 /// Writes the manifest as a line-oriented text file (atomic rewrite).
-/// RunResult doubles are stored as hexfloats so a resumed sweep reports
-/// bit-identical aggregates.
+/// RunResult doubles are stored as their IEEE-754 bit patterns, written
+/// as decimal u64, so a resumed sweep reports bit-identical aggregates.
 void write_manifest(const std::string& path, const SweepManifest& manifest);
 
 /// Loads a manifest written by write_manifest or streamed by

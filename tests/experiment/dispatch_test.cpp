@@ -86,7 +86,7 @@ TEST(DispatchFrames, RoundTripEveryType) {
   ASSERT_EQ(try_extract_frame(hello.data(), hello.size(), "t", &f),
             hello.size());
   EXPECT_EQ(f.type, FrameType::kHello);
-  EXPECT_EQ(f.version, kDispatchWireVersion);
+  EXPECT_EQ(f.version, kWorkerProtocolVersion);
   EXPECT_EQ(f.worker_name, "worker-a");
 
   const auto request = encode_request_frame();
@@ -132,13 +132,15 @@ TEST(DispatchFrames, RoundTripEveryType) {
   EXPECT_EQ(f.attempt, 2);
   EXPECT_EQ(f.result, sealed);
 
-  const auto hb = encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u);
+  const auto hb =
+      encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u, 6);
   ASSERT_EQ(try_extract_frame(hb.data(), hb.size(), "t", &f), hb.size());
   EXPECT_EQ(f.type, FrameType::kHeartbeat);
   EXPECT_EQ(f.lease_id, 11u);
   EXPECT_EQ(f.spec, 5u);
   EXPECT_EQ(f.events, 12345u);
   EXPECT_EQ(f.sim_time_bits, 0x3ff0000000000000u);
+  EXPECT_EQ(f.checkpoint_seq, 6u);
 }
 
 TEST(DispatchFrames, EveryPartialPrefixAsksForMoreBytes) {
@@ -156,7 +158,7 @@ TEST(DispatchFrames, ConcatenatedStreamExtractsInOrder) {
   std::vector<std::uint8_t> stream;
   for (const auto& frame :
        {encode_hello_frame("w"), encode_request_frame(),
-        encode_heartbeat_frame(1, 2, 3, 4), encode_nowork_frame(true)})
+        encode_heartbeat_frame(1, 2, 3, 4, 5), encode_nowork_frame(true)})
     stream.insert(stream.end(), frame.begin(), frame.end());
 
   std::vector<FrameType> seen;
@@ -176,7 +178,7 @@ TEST(DispatchFrames, ConcatenatedStreamExtractsInOrder) {
 }
 
 TEST(DispatchFrames, DamageIsRejectedNamingTheContext) {
-  const auto good = encode_heartbeat_frame(1, 2, 3, 4);
+  const auto good = encode_heartbeat_frame(1, 2, 3, 4, 5);
   WireFrame f;
 
   const auto expect_throw = [&](std::vector<std::uint8_t> bytes,
@@ -403,7 +405,8 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
   // well past several base durations.
   std::uint64_t events = 1;
   for (int i = 0; i < 10; ++i) {
-    s.send(encode_heartbeat_frame(g.lease_id, g.items[0].spec, events++, 0));
+    s.send(
+        encode_heartbeat_frame(g.lease_id, g.items[0].spec, events++, 0, 0));
     sleep_ms(100);
   }
   EXPECT_EQ(requeued.load(), 0)
@@ -412,7 +415,7 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
   // A frozen counter (the SIGSTOP signature: frames may flow, progress
   // does not) stops extending it.
   for (int i = 0; i < 10 && requeued.load() == 0; ++i) {
-    s.send(encode_heartbeat_frame(g.lease_id, g.items[0].spec, events, 0));
+    s.send(encode_heartbeat_frame(g.lease_id, g.items[0].spec, events, 0, 0));
     sleep_ms(100);
   }
   wait_for([&] { return requeued.load() > 0; }, 10.0,
@@ -542,6 +545,62 @@ TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {
   EXPECT_NE(quarantine_detail.find("attempt 1: simulated failure"),
             std::string::npos)
       << quarantine_detail;
+}
+
+TEST(DispatchQueue, RefusesAHelloFromAnotherProtocolVersion) {
+  // A v3 worker's hello: the frame layout is unchanged, so it decodes,
+  // and the version field is what the dispatcher must refuse by name.
+  snapshot::Writer w;
+  w.u32(3);
+  w.str("old-worker");
+  // Magic "DFW3", frame type 1 (hello), then length, payload, digest.
+  std::vector<std::uint8_t> hello = {0x44, 0x46, 0x57, 0x33, 1};
+  const std::uint32_t len = static_cast<std::uint32_t>(w.bytes().size());
+  for (int i = 0; i < 4; ++i)
+    hello.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  hello.insert(hello.end(), w.bytes().begin(), w.bytes().end());
+  snapshot::StateHash h;
+  h.update(hello.data(), hello.size());
+  for (int i = 0; i < 8; ++i)
+    hello.push_back(static_cast<std::uint8_t>(h.value() >> (8 * i)));
+  WireFrame parsed;
+  ASSERT_EQ(try_extract_frame(hello.data(), hello.size(), "t", &parsed),
+            hello.size());
+  ASSERT_EQ(parsed.version, 3u);
+
+  std::atomic<int> port{0};
+  DispatchOptions opts;
+  opts.port = 0;
+  opts.port_out = &port;
+  DispatchPolicy pol;
+  std::atomic<bool> stop{false};
+  pol.stop = &stop;
+  std::mutex mu;
+  std::vector<std::string> announced;
+  DispatchCallbacks cb;
+  cb.announce = [&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mu);
+    announced.push_back(line);
+  };
+  std::thread dispatcher([&] {
+    run_dispatch_queue(1, std::vector<char>(1, 0), opts, pol, nullptr, cb);
+  });
+  wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
+
+  Stub s(port.load());
+  s.send(hello);
+  EXPECT_THROW(s.read_frame(), net::NetError) << "v3 hello was not refused";
+  stop.store(true);
+  dispatcher.join();
+
+  std::lock_guard<std::mutex> lock(mu);
+  std::string refusal;
+  for (const std::string& line : announced)
+    if (line.find("dropping connection") != std::string::npos) refusal = line;
+  EXPECT_NE(refusal.find("v3"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find("v" + std::to_string(kWorkerProtocolVersion)),
+            std::string::npos)
+      << refusal;
 }
 
 }  // namespace
