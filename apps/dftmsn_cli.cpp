@@ -104,8 +104,8 @@ int usage(int code) {
       "  --trace-csv F     stream MAC handshake/sleep/data/drop trace\n"
       "                    events to F (single-run only)\n"
       "supervision (see docs/checkpoint_resume.md):\n"
-      "  --checkpoint-dir D   write the checkpoints.dcc container +\n"
-      "                    manifest.txt under D; enables the supervised\n"
+      "  --checkpoint-dir D   write the checkpoints.dcc and manifest.dcc\n"
+      "                    containers under D; enables the supervised\n"
       "                    runner\n"
       "  --checkpoint-every S checkpoint every S simulated seconds\n"
       "                    (default 0: only on SIGINT/SIGTERM)\n"
@@ -149,10 +149,12 @@ int usage(int code) {
       "                    and exit (reader side; add --watch to refresh\n"
       "                    every second until the sweep finishes)\n"
       "durability (see docs/durability.md):\n"
-      "  --fsck DIR        scan DIR's container/manifest/worker/trace\n"
-      "                    files, repair torn tails and drop stale or\n"
-      "                    corrupt entries; exit 0 clean, 7 repaired,\n"
-      "                    2 unrepairable\n"
+      "  --fsck DIR        scan DIR's checkpoint and manifest containers\n"
+      "                    and trace files, cut torn or damaged records,\n"
+      "                    drop stale or corrupt checkpoints, delete\n"
+      "                    older builds' leftovers; exit 0 clean,\n"
+      "                    7 repaired, 2 unrepairable (a manifest it\n"
+      "                    cannot read is never deleted)\n"
       "  --io-faults SPEC  deterministic I/O fault schedule, e.g.\n"
       "                    \"enospc@write#3\" or \"crash@rename#1\"\n"
       "                    (also read from $DFTMSN_IO_FAULTS; crash\n"

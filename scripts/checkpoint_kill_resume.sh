@@ -49,7 +49,7 @@ else
   wait "$PID"
   KILLED=0
 fi
-[ -f "$WORK/ckpt/manifest.txt" ] || fail "no manifest survived the kill"
+[ -f "$WORK/ckpt/manifest.dcc" ] || fail "no manifest survived the kill"
 
 # Resume and compare. Filter to the per-replication result lines and the
 # aggregate block; timing/progress chatter may legitimately differ.
@@ -116,7 +116,7 @@ if kill -0 "$PID" 2>/dev/null; then
 else
   wait "$PID"
 fi
-[ -f "$WORK/trace_ckpt/manifest.txt" ] || fail "no trace manifest survived"
+[ -f "$WORK/trace_ckpt/manifest.dcc" ] || fail "no trace manifest survived"
 
 "$CLI" "${SARGS[@]}" --checkpoint-dir "$WORK/trace_ckpt" --resume \
   > "$WORK/trace_resumed.txt" || fail "trace resume exited $?"

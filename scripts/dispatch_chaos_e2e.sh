@@ -31,7 +31,7 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 "$CLI" "${ARGS[@]}" --jobs 4 --checkpoint-dir "$WORK/ref4" \
     --report-json "$WORK/ref4.json" > "$WORK/ref4.txt" \
   || fail "reference --jobs 4 run exited $?"
-cmp "$WORK/ref1/manifest.txt" "$WORK/ref4/manifest.txt" \
+cmp "$WORK/ref1/manifest.dcc" "$WORK/ref4/manifest.dcc" \
   || fail "reference manifests differ between jobs 1 and 4"
 cmp "$WORK/ref1.json" "$WORK/ref4.json" \
   || fail "reference reports differ between jobs 1 and 4"
@@ -64,7 +64,7 @@ W2=$!
 wait "$DISPATCH_PID" || fail "clean dispatched parent exited $?"
 wait "$W1" || fail "clean worker 1 exited $?"
 wait "$W2" || fail "clean worker 2 exited $?"
-cmp "$WORK/ref1/manifest.txt" "$WORK/clean/manifest.txt" \
+cmp "$WORK/ref1/manifest.dcc" "$WORK/clean/manifest.dcc" \
   || fail "clean dispatched manifest differs from in-process reference"
 cmp "$WORK/ref1.json" "$WORK/clean.json" \
   || fail "clean dispatched report differs from in-process reference"
@@ -101,7 +101,7 @@ wait "$WB" 2>/dev/null  # killed: nonzero by design
 kill -CONT "$WC" 2>/dev/null
 wait "$WC" 2>/dev/null
 
-cmp "$WORK/ref1/manifest.txt" "$WORK/chaos/manifest.txt" \
+cmp "$WORK/ref1/manifest.dcc" "$WORK/chaos/manifest.dcc" \
   || fail "chaos manifest differs from clean in-process reference"
 cmp "$WORK/ref1.json" "$WORK/chaos.json" \
   || fail "chaos report differs from clean in-process reference"

@@ -11,6 +11,8 @@
 #      -> --resume finishes with aggregates identical to the clean run
 #   3. deliberate container corruption (byte flip in the one live record)
 #      -> --fsck repairs (exit 7) -> --resume still completes
+#   4. a byte flip in a completed manifest record -> --fsck repairs
+#      (exit 7) -> --resume rebuilds the clean run's manifest byte for byte
 #
 # Exit codes under test: 0 clean, 7 repaired, 9 injected crash
 # (docs/durability.md).
@@ -89,5 +91,24 @@ run_sweep "$WORK/corrupt" --resume > "$WORK/corrupt.resume" 2>&1 \
   || fail "resume after corruption exited $?"
 diff <(aggregates "$WORK/ref.out") <(aggregates "$WORK/corrupt.resume") \
   || fail "post-corruption aggregates differ from the uninterrupted run"
+
+# --- leg 4: corrupt a completed manifest record -> fsck -> resume ----------
+# manifest.dcc ends with the index record (40 bytes of record framing +
+# 8 + 16 per spec, 2 specs here) and the 16-byte footer; the 12th byte
+# before the index lies inside the last spec's completed record. The
+# repair cuts that record, so the spec re-runs on --resume.
+cp -r "$WORK/ref" "$WORK/mflip"
+MANIFEST="$WORK/mflip/manifest.dcc"
+size=$(stat -c %s "$MANIFEST")
+printf '\xa5' | dd of="$MANIFEST" bs=1 seek=$((size - 16 - 80 - 12)) \
+    conv=notrunc status=none || fail "could not flip a manifest byte"
+"$CLI" --fsck "$WORK/mflip" > "$WORK/mflip.fsck" 2>&1
+rc=$?
+[ "$rc" -eq 7 ] \
+  || { cat "$WORK/mflip.fsck" >&2; fail "fsck on corrupt manifest exited $rc (want 7)"; }
+run_sweep "$WORK/mflip" --resume > "$WORK/mflip.resume" 2>&1 \
+  || fail "resume after manifest corruption exited $?"
+cmp "$WORK/ref/manifest.dcc" "$MANIFEST" \
+  || fail "resumed manifest differs from the uninterrupted run's"
 
 echo "durability e2e: all legs passed"

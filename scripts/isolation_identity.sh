@@ -37,16 +37,17 @@ run_variant pr1 process 1
 run_variant pr4 process 4
 
 for v in in4 pr1 pr4; do
-  cmp "$WORK/in1/manifest.txt" "$WORK/$v/manifest.txt" \
+  cmp "$WORK/in1/manifest.dcc" "$WORK/$v/manifest.dcc" \
     || fail "manifest of $v differs from in-process --jobs 1"
   cmp "$WORK/in1.json" "$WORK/$v.json" \
     || fail "report of $v differs from in-process --jobs 1"
 done
 
 # The manifests must actually carry telemetry, or the equality above
-# proves less than it claims.
-grep -q '^registry ' "$WORK/pr4/manifest.txt" \
-  || fail "process-isolated manifest has no registry lines"
+# proves less than it claims: a stored registry holds its instrument
+# names verbatim.
+grep -qaF 'mac.rts_tx' "$WORK/pr4/manifest.dcc" \
+  || fail "process-isolated manifest has no registries"
 
 echo "PASS: manifests + reports byte-identical across isolation modes and jobs"
 rm -rf "$WORK"

@@ -6,10 +6,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <vector>
 
@@ -266,7 +264,6 @@ struct ConnState {
 
 struct LeaseState {
   int fd = -1;
-  std::string worker;
   std::vector<std::size_t> outstanding;
   double deadline = 0.0;
   std::map<std::size_t, std::uint64_t> last_events;
@@ -307,19 +304,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   std::map<std::uint64_t, LeaseState> leases;
   std::uint64_t next_lease_id = 1;
   telemetry::DispatchCounters counters;
-
-  const auto journal_write = [&] {
-    if (policy.lease_journal_path.empty()) return;
-    std::ofstream out(policy.lease_journal_path,
-                      std::ios::binary | std::ios::trunc);
-    out << "dftmsn-dispatch-leases v1\n";
-    for (const auto& [id, lease] : leases) {
-      out << "lease " << id << " worker=" << lease.worker << " specs=";
-      for (std::size_t k = 0; k < lease.outstanding.size(); ++k)
-        out << (k ? "," : "") << lease.outstanding[k];
-      out << "\n";
-    }
-  };
 
   const auto push_board = [&] {
     if (board != nullptr) board->dispatch_update(counters);
@@ -373,7 +357,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     leases.erase(it);
     if (requeue)
       for (const std::size_t i : outstanding) requeue_spec(i, why);
-    journal_write();
   };
 
   const auto drop_conn = [&](int fd, const std::string& why) {
@@ -421,7 +404,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
       // resurrected or raced worker's duplicate is discarded by spec id.
       ++counters.duplicates_discarded;
       detach_spec(f.spec);
-      journal_write();
       return;
     }
     // Validate before any state change: a torn sealed image inside a
@@ -460,7 +442,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
         if (cb.on_retrying) cb.on_retrying(f.spec, next_attempt, detail);
       }
     }
-    journal_write();
     update_worker_row(fd, true);
   };
 
@@ -488,7 +469,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     const std::uint64_t id = next_lease_id++;
     LeaseState lease;
     lease.fd = fd;
-    lease.worker = conns.count(fd) ? conns[fd].name : std::string();
     lease.outstanding = granted;
     lease.deadline = now_s() + opts.lease_secs;
     for (const std::size_t i : granted) {
@@ -499,7 +479,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     }
     leases[id] = std::move(lease);
     ++counters.batches_granted;
-    journal_write();
     if (send_frame(fd, encode_grant_frame(id, opts.lease_secs, items)))
       update_worker_row(fd, true);
   };
@@ -662,8 +641,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   leases.clear();
   push_board();
   ::close(lfd);
-  if (!policy.lease_journal_path.empty())
-    std::remove(policy.lease_journal_path.c_str());
 }
 
 }  // namespace dftmsn

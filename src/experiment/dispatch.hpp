@@ -150,8 +150,6 @@ struct DispatchPolicy {
   /// truly cursed spec still terminates.
   int max_transport_requeues = 32;
   const std::atomic<bool>* stop = nullptr;
-  /// Advisory lease journal (fsck classifies leftovers); empty: none.
-  std::string lease_journal_path;
 };
 
 /// Terminal + lifecycle callbacks out of the dispatcher event loop. All

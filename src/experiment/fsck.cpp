@@ -32,40 +32,52 @@ bool drop(const std::string& path) {
   return std::remove(path.c_str()) == 0;
 }
 
+/// Scans a DFTMSNCC container (checkpoints or manifest) and repairs a
+/// torn tail or a damaged live record: recovery cuts from the first
+/// damaged record on and rebuilds the index. Returns false when the file
+/// is absent or cannot be used: a foreign magic or version stays corrupt
+/// and in place, since repair would destroy data this build does not
+/// understand.
+bool scan_and_repair(const std::string& path, FsckReport& rep,
+                     std::ostream& log, snapshot::ContainerScanResult* scan) {
+  namespace sn = dftmsn::snapshot;
+  try {
+    *scan = sn::container_scan(path);
+  } catch (const std::exception& e) {
+    note(rep, log, path, "corrupt",
+         std::string(e.what()) + "; not deleted, this build cannot read it");
+    rep.unrepairable = true;
+    return false;
+  }
+  if (!scan->exists) return false;
+  if (scan->clean) return true;
+  const std::uint64_t torn = scan->file_size - scan->valid_end;
+  try {
+    sn::container_repair(path);
+    note(rep, log, path, "torn",
+         "truncated " + std::to_string(torn) +
+             " torn tail bytes, rebuilt index (" +
+             std::to_string(scan->entries.size()) + " entries survive)",
+         /*repaired=*/true);
+    return true;
+  } catch (const std::exception& e) {
+    note(rep, log, path, "torn", std::string("repair failed: ") + e.what());
+    rep.unrepairable = true;
+    return false;
+  }
+}
+
 void check_container(const std::string& path, const SweepManifest* manifest,
                      bool have_manifest, FsckReport& rep, std::ostream& log) {
   namespace sn = dftmsn::snapshot;
   sn::ContainerScanResult scan;
-  try {
-    scan = sn::container_scan(path);
-  } catch (const std::exception& e) {
-    // Foreign magic / unsupported version: repair would destroy data
-    // this build doesn't understand.
-    note(rep, log, path, "corrupt", e.what());
-    rep.unrepairable = true;
-    return;
-  }
-  if (!scan.exists) return;
-
-  if (!scan.clean) {
-    const std::uint64_t torn = scan.file_size - scan.valid_end;
-    try {
-      sn::container_repair(path);
-      note(rep, log, path, "torn",
-           "truncated " + std::to_string(torn) +
-               " torn tail bytes, rebuilt index (" +
-               std::to_string(scan.entries.size()) + " entries survive)",
-           /*repaired=*/true);
-    } catch (const std::exception& e) {
-      note(rep, log, path, "torn", std::string("repair failed: ") + e.what());
-      rep.unrepairable = true;
-      return;
-    }
-  }
+  if (!scan_and_repair(path, rep, log, &scan)) return;
 
   // Entry-level validation: each surviving checkpoint must decode (its
   // own magic/version/digest) and, when a manifest names this sweep,
-  // belong to it. Anything else is dropped — the spec re-runs.
+  // belong to it (a manifest digest of 0 is a record the container
+  // recovery cut: nothing to compare). Anything else is dropped — the
+  // spec re-runs.
   for (const sn::ContainerEntry& e : scan.entries) {
     const std::string what = path + " entry spec " + std::to_string(e.spec);
     std::string cls, detail;
@@ -77,8 +89,9 @@ void check_container(const std::string& path, const SweepManifest* manifest,
         if (e.spec >= manifest->specs.size()) {
           cls = "stale";
           detail = "spec index beyond manifest";
-        } else if (meta.config_digest !=
-                   manifest->specs[e.spec].config_digest) {
+        } else if (manifest->specs[e.spec].config_digest != 0 &&
+                   meta.config_digest !=
+                       manifest->specs[e.spec].config_digest) {
           cls = "stale";
           detail = "checkpoint config digest does not match manifest";
         }
@@ -111,41 +124,34 @@ FsckReport run_fsck(const std::string& dir, std::ostream& log) {
     throw std::runtime_error("fsck: " + dir + " is not a directory");
 
   // Manifest first: its verdict feeds the container's staleness check.
+  // It is a container too and is repaired the same way; the specs whose
+  // records a repair cut re-run on --resume.
   SweepManifest manifest;
   bool have_manifest = false;
   const std::string mpath = manifest_path(dir);
-  if (fs::exists(mpath, ec)) {
+  snapshot::ContainerScanResult mscan;
+  if (scan_and_repair(mpath, rep, log, &mscan)) {
     try {
       have_manifest = load_manifest(mpath, &manifest);
-      if (have_manifest) note(rep, log, mpath, "valid", "");
+      if (mscan.clean) note(rep, log, mpath, "valid", "");
     } catch (const std::exception& e) {
-      // A streamed manifest killed mid-append has a torn tail; cutting
-      // it back to the last validating cumulative digest line loses only
-      // the block being appended (those specs simply re-run on resume).
-      bool salvaged = false;
-      std::size_t removed = 0;
-      try {
-        salvaged = salvage_manifest_tail(mpath, &removed) && removed > 0 &&
-                   load_manifest(mpath, &manifest);
-      } catch (const std::exception&) {
-        salvaged = false;
-      }
-      if (salvaged) {
-        have_manifest = true;
-        note(rep, log, mpath, "torn",
-             "truncated " + std::to_string(removed) +
-                 " torn tail bytes back to the last validating digest line",
-             /*repaired=*/true);
-      } else {
-        // Interior damage. The manifest is the only file holding
-        // completed results; fsck never deletes it on its own.
-        note(rep, log, mpath, "corrupt",
-             std::string(e.what()) +
-                 "; holds completed results, not auto-deleted — delete it "
-                 "and re-run the sweep to rebuild");
-        rep.unrepairable = true;
-      }
+      // A record this build cannot decode. The manifest is the only file
+      // holding completed results; fsck never deletes it on its own.
+      note(rep, log, mpath, "corrupt",
+           std::string(e.what()) +
+               "; holds completed results, not auto-deleted — delete it "
+               "and re-run the sweep to rebuild");
+      rep.unrepairable = true;
     }
+  }
+  const std::string legacy = legacy_manifest_path(dir);
+  if (fs::exists(legacy, ec)) {
+    // --resume refuses this file; it may hold completed results only the
+    // build that wrote it can read.
+    note(rep, log, legacy, "stale",
+         "text manifest of a build before manifest format v5; not deleted "
+         "— finish the sweep with that build, or delete it to re-run");
+    rep.unrepairable = true;
   }
 
   check_container(checkpoint_container_path(dir), &manifest, have_manifest,
@@ -166,19 +172,13 @@ FsckReport run_fsck(const std::string& dir, std::ostream& log) {
     if (ext == ".tmp") {
       cls = "leftover";
       detail = "interrupted atomic-write staging file";
-    } else if (ext == ".leases") {
-      // Advisory dispatch lease journal (experiment/dispatch.hpp); the
-      // dispatcher removes it on a clean return, so one on disk means
-      // the parent died with leases outstanding. Leases are re-granted
-      // from the manifest, never from this file.
+    } else if (ext == ".req" || ext == ".result" || ext == ".progress" ||
+               ext == ".leases") {
+      // Worker request/result/progress files (exchanged by builds before
+      // worker protocol v4) and dispatch lease journals (written, never
+      // read, by builds before manifest format v5). Nothing reads them.
       cls = "leftover";
-      detail = "dispatch lease journal from an unclean shutdown";
-    } else if (ext == ".req" || ext == ".result" || ext == ".progress") {
-      // Worker request/result/progress files: builds before worker
-      // protocol v4 exchanged attempts through them. Nothing reads them
-      // any more.
-      cls = "leftover";
-      detail = "worker file from an older build";
+      detail = "file from an older build";
     } else if (ext == ".trc") {
       try {
         load_motion_trace(path);

@@ -1,16 +1,20 @@
 // Durable-state checker/repairer behind `dftmsn_cli --fsck DIR`.
 //
 // Scans a checkpoint directory for every file kind the sweep machinery
-// persists — the checkpoints.dcc container, manifest.txt, motion traces
-// (*.trc), leftover *.tmp rename staging, dispatch lease journals and the
-// worker files older builds left — classifies each as valid / torn /
-// stale / corrupt / leftover, and repairs what can be repaired without
-// losing intact data: torn container tails are truncated and the index
-// rebuilt, corrupt or stale container entries are dropped (that spec
-// re-runs), corrupt traces and leftovers are deleted (nothing needs
-// them to resume). A corrupt manifest is the one unrepairable find: it
-// holds completed results nothing can reconstruct, so fsck reports it
-// and leaves the decision (delete and re-run the sweep) to the operator.
+// persists — the checkpoints.dcc and manifest.dcc containers, motion
+// traces (*.trc), leftover *.tmp rename staging, and the files older
+// builds left (manifest.txt, worker .req/.result/.progress files,
+// dispatch .leases journals) — classifies each as valid / torn / stale /
+// corrupt / leftover, and repairs what can be repaired without losing
+// intact data. Both containers get the one container repair: a torn
+// tail or a damaged live record is cut from that record on and the index
+// rebuilt (the specs it cut re-run). Corrupt or stale checkpoint entries
+// are dropped (that spec re-runs); corrupt traces and leftovers are
+// deleted (nothing needs them to resume). A manifest this build cannot
+// read — a foreign container, a record of another format version, or an
+// older build's manifest.txt — is the unrepairable find: it holds
+// completed results nothing can reconstruct, so fsck reports it and
+// leaves the decision to the operator.
 //
 // Exit-code mapping (run_fsck itself doesn't exit): 0 everything valid,
 // 7 repairs were applied and the directory is now resumable, 2

@@ -8,6 +8,58 @@
 
 namespace dftmsn {
 
+// The six doubles go first as bit patterns, then the counters, in
+// RunResult declaration order.
+void save_run_result(const RunResult& r, snapshot::Writer& w) {
+  w.begin_section("run_result");
+  w.f64(r.delivery_ratio);
+  w.f64(r.mean_power_mw);
+  w.f64(r.mean_delay_s);
+  w.f64(r.mean_hops);
+  w.f64(r.overhead_bits_per_delivery);
+  w.f64(r.fairness_jain);
+  w.u64(r.generated);
+  w.u64(r.delivered);
+  w.u64(r.collisions);
+  w.u64(r.attempts);
+  w.u64(r.failed_attempts);
+  w.u64(r.data_transmissions);
+  w.u64(r.drops_overflow);
+  w.u64(r.drops_threshold);
+  w.u64(r.drops_delivered);
+  w.u64(r.events_executed);
+  w.u64(r.faults_injected);
+  w.u64(r.drops_node_failure);
+  w.u64(r.frames_fault_corrupted);
+  w.u64(r.invariant_sweeps);
+  w.end_section();
+}
+
+void load_run_result(RunResult& r, snapshot::Reader& rd) {
+  rd.begin_section("run_result");
+  r.delivery_ratio = rd.f64();
+  r.mean_power_mw = rd.f64();
+  r.mean_delay_s = rd.f64();
+  r.mean_hops = rd.f64();
+  r.overhead_bits_per_delivery = rd.f64();
+  r.fairness_jain = rd.f64();
+  r.generated = rd.u64();
+  r.delivered = rd.u64();
+  r.collisions = rd.u64();
+  r.attempts = rd.u64();
+  r.failed_attempts = rd.u64();
+  r.data_transmissions = rd.u64();
+  r.drops_overflow = rd.u64();
+  r.drops_threshold = rd.u64();
+  r.drops_delivered = rd.u64();
+  r.events_executed = rd.u64();
+  r.faults_injected = rd.u64();
+  r.drops_node_failure = rd.u64();
+  r.frames_fault_corrupted = rd.u64();
+  r.invariant_sweeps = rd.u64();
+  rd.end_section();
+}
+
 RunResult run_once(const Config& config, ProtocolKind kind,
                    RunTelemetry* telemetry_out) {
   World world(config, kind);

@@ -46,6 +46,11 @@ struct RunResult {
   std::uint64_t invariant_sweeps = 0;  ///< full checker sweeps that passed
 };
 
+/// Bit-exact binary form of a RunResult (one "run_result" section): how
+/// a result crosses a worker link and how the sweep manifest stores it.
+void save_run_result(const RunResult& r, snapshot::Writer& w);
+void load_run_result(RunResult& r, snapshot::Reader& rd);
+
 /// Mean ± CI over replicated runs.
 struct ReplicatedResult {
   Summary delivery_ratio;

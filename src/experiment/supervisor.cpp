@@ -13,18 +13,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -34,7 +30,6 @@
 #include "experiment/worker.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/ckpt_container.hpp"
-#include "snapshot/io_env.hpp"
 #include "snapshot/snapshot_io.hpp"
 #include "telemetry/lifecycle_trace.hpp"
 #include "telemetry/status.hpp"
@@ -47,95 +42,59 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string to_hex(const std::vector<std::uint8_t>& bytes) {
-  static const char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xf]);
-  }
-  return out;
+/// Manifest record format. v5: each spec's record is one binary entry of
+/// a DFTMSNCC container, keyed by spec index (v4 was the line-oriented
+/// manifest.txt). The version leads every payload, so a checkpoint image
+/// is never read as a manifest record.
+constexpr std::uint32_t kManifestVersion = 5;
+
+std::vector<std::uint8_t> encode_spec_record(const SpecRecord& r,
+                                             std::size_t num_specs) {
+  snapshot::Writer w;
+  w.u32(kManifestVersion);
+  w.begin_section("spec_record");
+  w.size(num_specs);
+  w.u8(static_cast<std::uint8_t>(r.status));
+  w.i64(r.retries);
+  w.u64(r.checkpoints);
+  w.u64(r.config_digest);
+  w.str(r.detail);
+  save_run_result(r.result, w);
+  r.registry.save_state(w);
+  w.end_section();
+  return w.bytes();
 }
 
-bool from_hex(const std::string& s, std::vector<std::uint8_t>* out) {
-  if (s.size() % 2 != 0) return false;
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  out->clear();
-  out->reserve(s.size() / 2);
-  for (std::size_t i = 0; i < s.size(); i += 2) {
-    const int hi = nibble(s[i]);
-    const int lo = nibble(s[i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out->push_back(static_cast<std::uint8_t>(hi * 16 + lo));
-  }
-  return true;
-}
-
-bool parse_status(const std::string& s, SpecStatus* out) {
-  if (s == "pending") *out = SpecStatus::kPending;
-  else if (s == "completed") *out = SpecStatus::kCompleted;
-  else if (s == "quarantined") *out = SpecStatus::kQuarantined;
-  else if (s == "interrupted") *out = SpecStatus::kInterrupted;
-  else return false;
-  return true;
-}
-
-// Manifest doubles are stored as IEEE-754 bit patterns (decimal u64), so
-// a resumed sweep folds bit-identical values into its aggregates.
-void put_result(std::ostream& os, const RunResult& r) {
-  os << double_bits(r.delivery_ratio) << ' ' << double_bits(r.mean_power_mw)
-     << ' ' << double_bits(r.mean_delay_s) << ' ' << double_bits(r.mean_hops)
-     << ' ' << double_bits(r.overhead_bits_per_delivery) << ' '
-     << double_bits(r.fairness_jain) << ' ' << r.generated
-     << ' ' << r.delivered << ' ' << r.collisions << ' ' << r.attempts << ' '
-     << r.failed_attempts << ' ' << r.data_transmissions << ' '
-     << r.drops_overflow << ' ' << r.drops_threshold << ' '
-     << r.drops_delivered << ' '
-     << r.events_executed << ' ' << r.faults_injected << ' '
-     << r.drops_node_failure << ' ' << r.frames_fault_corrupted << ' '
-     << r.invariant_sweeps;
-}
-
-void put_spec_block(std::ostream& os, std::size_t i, const SpecRecord& r) {
-  os << "spec " << i << ' ' << spec_status_name(r.status) << " retries="
-     << r.retries << " checkpoints=" << r.checkpoints << " digest="
-     << r.config_digest << " detail=" << sanitize(r.detail) << "\n";
-  if (r.status == SpecStatus::kCompleted) {
-    os << "result " << i << ' ';
-    put_result(os, r.result);
-    os << "\n";
-    // v3 addition: the completed run's instrument registry, hex of its
-    // canonical byte form, so a resumed sweep reports the same merged
-    // telemetry a straight-through sweep would. Omitted when telemetry
-    // was off (the registry is empty) — deterministically, so the line
-    // set never depends on jobs or isolation mode.
-    if (!r.registry.empty())
-      os << "registry " << i << ' ' << to_hex(r.registry.serialize())
-         << "\n";
-  }
-}
-
-bool get_result(std::istream& is, RunResult* r) {
-  std::uint64_t dr = 0, pw = 0, dl = 0, hp = 0, ov = 0, fj = 0;
-  if (!(is >> dr >> pw >> dl >> hp >> ov >> fj >> r->generated >>
-        r->delivered >> r->collisions >> r->attempts >> r->failed_attempts >>
-        r->data_transmissions >> r->drops_overflow >> r->drops_threshold >>
-        r->drops_delivered >>
-        r->events_executed >> r->faults_injected >> r->drops_node_failure >>
-        r->frames_fault_corrupted >> r->invariant_sweeps))
-    return false;
-  r->delivery_ratio = bits_double(dr);
-  r->mean_power_mw = bits_double(pw);
-  r->mean_delay_s = bits_double(dl);
-  r->mean_hops = bits_double(hp);
-  r->overhead_bits_per_delivery = bits_double(ov);
-  r->fairness_jain = bits_double(fj);
-  return true;
+/// Decodes one manifest record; *num_specs receives the sweep size it
+/// was written for.
+SpecRecord decode_spec_record(const std::vector<std::uint8_t>& payload,
+                              std::size_t* num_specs) {
+  snapshot::Reader rd(payload);
+  const std::uint32_t version = rd.u32();
+  if (version != kManifestVersion)
+    throw snapshot::SnapshotError(
+        "record format version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kManifestVersion) +
+        ")");
+  SpecRecord r;
+  rd.begin_section("spec_record");
+  *num_specs = rd.size();
+  const std::uint8_t status = rd.u8();
+  if (status > static_cast<std::uint8_t>(SpecStatus::kInterrupted))
+    throw snapshot::SnapshotError("bad status " + std::to_string(status));
+  r.status = static_cast<SpecStatus>(status);
+  const std::int64_t retries = rd.i64();
+  if (retries < 0 || retries > std::numeric_limits<int>::max())
+    throw snapshot::SnapshotError("retries out of range");
+  r.retries = static_cast<int>(retries);
+  r.checkpoints = rd.u64();
+  r.config_digest = rd.u64();
+  r.detail = rd.str();
+  load_run_result(r.result, rd);
+  r.registry.load_state(rd);
+  rd.end_section();
+  if (!rd.at_end()) throw snapshot::SnapshotError("trailing bytes");
+  return r;
 }
 
 /// Per-spec supervision state shared between the thread running the spec
@@ -502,265 +461,57 @@ std::uint64_t SweepManifest::total_checkpoints() const {
 }
 
 std::string manifest_path(const std::string& checkpoint_dir) {
-  return checkpoint_dir + "/manifest.txt";
+  return checkpoint_dir + "/manifest.dcc";
 }
 
 std::string checkpoint_container_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/checkpoints.dcc";
 }
 
+std::string legacy_manifest_path(const std::string& checkpoint_dir) {
+  return checkpoint_dir + "/manifest.txt";
+}
+
 void write_manifest(const std::string& path, const SweepManifest& manifest) {
-  std::ostringstream os;
-  os << "dftmsn-manifest v4\n";
-  os << "specs " << manifest.specs.size() << "\n";
-  for (std::size_t i = 0; i < manifest.specs.size(); ++i)
-    put_spec_block(os, i, manifest.specs[i]);
-  // v4 addition: a trailing whole-file FNV-1a digest line. The manifest
-  // is the one text-format durable file; without this a single flipped
-  // byte in a stored result would resume into silently wrong aggregates.
-  std::string s = os.str();
-  snapshot::StateHash h;
-  h.update(s.data(), s.size());
-  s += "digest " + std::to_string(h.value()) + "\n";
-  snapshot::write_file_atomic(path,
-                              std::vector<std::uint8_t>(s.begin(), s.end()));
+  std::vector<std::vector<std::uint8_t>> records;
+  records.reserve(manifest.specs.size());
+  for (const SpecRecord& r : manifest.specs)
+    records.push_back(encode_spec_record(r, manifest.specs.size()));
+  snapshot::container_write_fresh(path, records);
 }
-
-namespace {
-
-/// strtoull with the failure modes closed: empty field, leading junk,
-/// trailing junk, sign, and overflow all throw via `bad`, naming the
-/// offending line.
-std::uint64_t parse_u64_field(
-    const std::string& kv, std::size_t prefix, const std::string& line,
-    const std::function<void(const std::string&)>& bad) {
-  const char* s = kv.c_str() + prefix;
-  if (*s == '\0' || *s == '-' || *s == '+')
-    bad("bad number \"" + std::string(s) + "\" in: " + line);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || end == s || *end != '\0')
-    bad("bad number \"" + std::string(s) + "\" in: " + line);
-  return static_cast<std::uint64_t>(v);
-}
-
-}  // namespace
 
 bool load_manifest(const std::string& path, SweepManifest* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-
+  if (!std::filesystem::exists(path)) return false;
   const auto bad = [&path](const std::string& what) {
     throw std::runtime_error("manifest " + path + ": " + what);
   };
-
-  // Digest first (same discipline as every binary format here): the
-  // whole file must end with "digest <fnv>\n" covering everything before
-  // that line, so torn writes and bit flips fail with one clear message
-  // instead of parsing into wrong numbers.
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string whole = buf.str();
-  if (whole.empty() || whole.back() != '\n')
-    bad("truncated (no trailing newline)");
-  std::size_t dpos = whole.rfind("digest ", whole.size() - 1);
-  if (dpos == std::string::npos || (dpos != 0 && whole[dpos - 1] != '\n') ||
-      whole.find('\n', dpos) != whole.size() - 1)
-    bad("missing trailing digest line");
-  {
-    const std::string dline =
-        whole.substr(dpos, whole.size() - 1 - dpos);  // sans newline
-    const std::uint64_t stored = parse_u64_field(dline, 7, dline, bad);
-    snapshot::StateHash h;
-    h.update(whole.data(), dpos);
-    if (h.value() != stored)
-      bad("digest mismatch (torn or corrupt file)");
-  }
-
-  std::istringstream body(whole.substr(0, dpos));
-  std::string line;
-  // Strict version gate: older manifests (pre-registry v2, pre-digest
-  // v3) are rejected rather than half-loaded — a stale manifest means
-  // re-running the sweep, not silently resuming without telemetry.
-  if (!std::getline(body, line) || line != "dftmsn-manifest v4")
-    bad("unrecognized header");
-  std::size_t n = 0;
-  {
-    if (!std::getline(body, line)) bad("missing spec count");
-    std::istringstream is(line);
-    std::string tag;
-    if (!(is >> tag >> n) || tag != "specs") bad("missing spec count");
-  }
+  // The container scan and reads step over a torn tail or a damaged
+  // record exactly as for checkpoints; the specs whose records they cut
+  // load as pending with config digest 0.
   SweepManifest m;
-  m.specs.resize(n);
-  while (std::getline(body, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    // Streamed manifests carry a fresh cumulative digest line after
-    // every appended block; all of them are covered by the trailing
-    // digest already verified above, so the body parser skips them.
-    if (tag == "digest") continue;
-    std::size_t i = 0;
-    is >> i;
-    if (!is || i >= n) bad("malformed line: " + line);
-    SpecRecord& r = m.specs[i];
-    if (tag == "spec") {
-      std::string status, kv;
-      is >> status;
-      if (!parse_status(status, &r.status)) bad("bad status: " + status);
-      if (!(is >> kv) || kv.rfind("retries=", 0) != 0)
-        bad("missing retries: " + line);
-      const std::uint64_t retries = parse_u64_field(kv, 8, line, bad);
-      if (retries > static_cast<std::uint64_t>(
-                        std::numeric_limits<int>::max()))
-        bad("retries out of range in: " + line);
-      r.retries = static_cast<int>(retries);
-      if (!(is >> kv) || kv.rfind("checkpoints=", 0) != 0)
-        bad("missing checkpoints: " + line);
-      r.checkpoints = parse_u64_field(kv, 12, line, bad);
-      if (!(is >> kv) || kv.rfind("digest=", 0) != 0)
-        bad("missing digest: " + line);
-      r.config_digest = parse_u64_field(kv, 7, line, bad);
-      std::string detail;
-      std::getline(is, detail);
-      const auto at = detail.find("detail=");
-      r.detail = at == std::string::npos ? "" : detail.substr(at + 7);
-    } else if (tag == "result") {
-      if (!get_result(is, &r.result)) bad("malformed result: " + line);
-    } else if (tag == "registry") {
-      std::string hex;
-      std::vector<std::uint8_t> bytes;
-      if (!(is >> hex) || !from_hex(hex, &bytes))
-        bad("malformed registry: " + line);
-      try {
-        snapshot::Reader rd(bytes);
-        r.registry = telemetry::Registry();
-        r.registry.load_state(rd);
-      } catch (const std::exception& e) {
-        bad("undecodable registry: " + std::string(e.what()));
-      }
-    } else {
-      bad("unknown tag: " + tag);
+  bool any = false;
+  for (const snapshot::ContainerEntry& e :
+       snapshot::container_scan(path).entries) {
+    const auto payload = snapshot::container_get(path, e.spec);
+    if (!payload) continue;
+    std::size_t n = 0;
+    SpecRecord r;
+    try {
+      r = decode_spec_record(*payload, &n);
+    } catch (const std::exception& ex) {
+      bad("spec " + std::to_string(e.spec) + ": " + ex.what());
     }
+    if (!any) m.specs.resize(n);
+    any = true;
+    if (n != m.specs.size() || e.spec >= n)
+      bad("spec " + std::to_string(e.spec) + " belongs to a sweep of " +
+          std::to_string(n) + " specs, not " + std::to_string(m.specs.size()));
+    m.specs[e.spec] = std::move(r);
   }
+  if (!any) return false;
   *out = std::move(m);
   return true;
 }
-
-bool salvage_manifest_tail(const std::string& path,
-                           std::size_t* bytes_removed) {
-  if (bytes_removed != nullptr) *bytes_removed = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string whole = buf.str();
-
-  // Scan complete lines, tracking the hash of every byte consumed so
-  // far. Each "digest <v>" line whose value matches the hash of the
-  // bytes *before* it marks a self-consistent prefix a torn tail can be
-  // cut back to.
-  snapshot::StateHash h;
-  std::size_t pos = 0;
-  std::size_t good_end = 0;  // end offset of the last validating prefix
-  while (pos < whole.size()) {
-    const std::size_t nl = whole.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn final line
-    const std::string line = whole.substr(pos, nl - pos);
-    if (line.rfind("digest ", 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(line.c_str() + 7, &end, 10);
-      if (errno != ERANGE && end != line.c_str() + 7 && *end == '\0' &&
-          h.value() == v)
-        good_end = nl + 1;
-    }
-    h.update(whole.data() + pos, nl + 1 - pos);
-    pos = nl + 1;
-  }
-  if (good_end == 0) return false;  // nothing validates: not salvageable
-  if (good_end == whole.size()) return true;  // already clean
-
-  auto& io = snapshot::IoEnv::instance();
-  const int fd = io.open_rw(path);
-  try {
-    io.ftruncate_file(fd, path, good_end);
-    io.fsync_file(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  if (bytes_removed != nullptr) *bytes_removed = whole.size() - good_end;
-  return true;
-}
-
-namespace {
-
-/// Streams a manifest: an atomic, durable all-pending scaffold up front,
-/// then one appended block per terminal spec record, each append ending
-/// with a fresh cumulative digest line and an fsync. The file is
-/// loadable after every append (load_manifest takes the *last* digest
-/// line; later spec records win), and a torn tail truncates back to the
-/// previous digest line (salvage_manifest_tail / --fsck).
-class ManifestWriter {
- public:
-  ManifestWriter(std::string path, std::size_t num_specs,
-                 const std::vector<std::uint64_t>& config_digests)
-      : path_(std::move(path)) {
-    std::ostringstream os;
-    os << "dftmsn-manifest v4\n";
-    os << "specs " << num_specs << "\n";
-    for (std::size_t i = 0; i < num_specs; ++i)
-      os << "spec " << i << " pending retries=0 checkpoints=0 digest="
-         << config_digests[i] << " detail=\n";
-    const std::string s = with_digest(os.str());
-    // The scaffold lands atomically before any spec runs: a SIGKILL
-    // before the first completion still leaves a loadable manifest next
-    // to whatever checkpoints made it to disk.
-    snapshot::write_file_atomic(
-        path_, std::vector<std::uint8_t>(s.begin(), s.end()));
-    fd_ = snapshot::IoEnv::instance().open_rw(path_);
-    offset_ = s.size();
-  }
-  ManifestWriter(const ManifestWriter&) = delete;
-  ManifestWriter& operator=(const ManifestWriter&) = delete;
-  ~ManifestWriter() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  /// Appends spec i's terminal block + new cumulative digest line as one
-  /// pwrite + fsync: a tear can only ever cost the block being written,
-  /// never reach back past the previous digest line.
-  void append(std::size_t i, const SpecRecord& r) {
-    std::ostringstream os;
-    put_spec_block(os, i, r);
-    const std::string s = with_digest(os.str());
-    auto& io = snapshot::IoEnv::instance();
-    io.pwrite_all(fd_, path_, s.data(), s.size(), offset_);
-    io.fsync_file(fd_, path_);
-    offset_ += s.size();
-  }
-
- private:
-  /// `s` followed by the cumulative digest line that covers it.
-  std::string with_digest(std::string s) {
-    hash_.update(s.data(), s.size());
-    const std::string dline = "digest " + std::to_string(hash_.value()) + "\n";
-    hash_.update(dline.data(), dline.size());
-    return s + dline;
-  }
-
-  std::string path_;
-  int fd_ = -1;
-  std::uint64_t offset_ = 0;
-  snapshot::StateHash hash_;
-};
-
-}  // namespace
 
 StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
                                const SupervisorOptions& opts,
@@ -791,6 +542,13 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   for (std::size_t i = 0; i < specs.size(); ++i)
     carried[i].config_digest = digests[i];
   if (opts.resume && use_dir) {
+    const std::string legacy = legacy_manifest_path(opts.checkpoint_dir);
+    if (std::filesystem::exists(legacy))
+      throw std::runtime_error(
+          "supervisor: " + legacy +
+          " is a text manifest from a build before manifest format v5, "
+          "which this build cannot read — finish the sweep with that "
+          "build, or delete the file to re-run it — refusing to resume");
     SweepManifest prev;
     if (load_manifest(manifest_path(opts.checkpoint_dir), &prev)) {
       if (prev.specs.size() != specs.size())
@@ -799,7 +557,10 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
             std::to_string(prev.specs.size()) + " specs but this sweep has " +
             std::to_string(specs.size()) + " — refusing to resume");
       for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (prev.specs[i].config_digest != digests[i])
+        // Digest 0: the record was cut by container recovery; the spec
+        // re-runs.
+        if (prev.specs[i].config_digest != 0 &&
+            prev.specs[i].config_digest != digests[i])
           throw std::runtime_error(
               "supervisor: manifest was written by a different sweep "
               "(config digest mismatch at spec " + std::to_string(i) +
@@ -812,12 +573,18 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     }
   }
 
-  // The streamed manifest: an all-pending scaffold before any spec runs
-  // (a SIGKILL landing before the first completion must still leave a
-  // resumable manifest), then one appended block per terminal record.
-  std::optional<ManifestWriter> writer;
-  if (use_dir)
-    writer.emplace(manifest_path(opts.checkpoint_dir), specs.size(), digests);
+  // The streamed manifest: an all-pending scaffold, one atomic container
+  // image written before any spec runs (a SIGKILL landing before the
+  // first completion must still leave a resumable manifest), then one
+  // container_put per terminal record.
+  const std::string mpath = use_dir ? manifest_path(opts.checkpoint_dir) : "";
+  if (use_dir) {
+    SweepManifest scaffold;
+    scaffold.specs.resize(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      scaffold.specs[i].config_digest = digests[i];
+    write_manifest(mpath, scaffold);
+  }
 
   // Index-order reorder buffer: terminal records publish in completion
   // order but emit (manifest append + sink) in strict spec-index order,
@@ -834,7 +601,9 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     stats.peak_buffered = std::max(stats.peak_buffered, buffered.size());
     for (auto it = buffered.find(next_emit); it != buffered.end();
          it = buffered.find(next_emit)) {
-      if (writer) writer->append(next_emit, it->second);
+      if (use_dir)
+        snapshot::container_put(mpath, next_emit,
+                                encode_spec_record(it->second, specs.size()));
       if (sink) sink(next_emit, std::move(it->second));
       buffered.erase(it);
       ++next_emit;
@@ -1030,8 +799,6 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
       policy.max_retries = opts.max_retries;
       policy.retry_backoff_s = opts.retry_backoff_s;
       policy.stop = opts.stop;
-      if (use_dir)
-        policy.lease_journal_path = opts.checkpoint_dir + "/dispatch.leases";
 
       DispatchCallbacks cb;
       cb.make_request = [&](std::size_t i, int attempt) {

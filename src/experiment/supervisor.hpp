@@ -90,8 +90,9 @@ enum class IsolationMode : std::uint8_t {
 };
 
 struct SupervisorOptions {
-  /// Directory for the checkpoints.dcc container + manifest.txt. Empty:
-  /// no checkpointing (failures retry from scratch, stop loses progress).
+  /// Directory for the checkpoints.dcc and manifest.dcc containers.
+  /// Empty: no checkpointing (failures retry from scratch, stop loses
+  /// progress).
   std::string checkpoint_dir;
   /// Simulated seconds between periodic checkpoints. <= 0: checkpoint
   /// only on external stop.
@@ -104,7 +105,7 @@ struct SupervisorOptions {
   /// Base wall-clock backoff before a retry; doubles per retry.
   double retry_backoff_s = 0.05;
   int jobs = 1;
-  /// Reuse manifest.txt + checkpoints in checkpoint_dir: completed
+  /// Reuse manifest.dcc + checkpoints in checkpoint_dir: completed
   /// replications are skipped, unfinished ones resume from their last
   /// checkpoint.
   bool resume = false;
@@ -187,18 +188,18 @@ struct StreamStats {
 using SpecSink = std::function<void(std::size_t, SpecRecord&&)>;
 
 /// Streaming core of supervised execution: runs every spec (thread pool,
-/// process isolation, or the dispatch queue per opts), appends each
-/// terminal record to checkpoint_dir/manifest.txt as it is emitted (one
-/// block + fresh cumulative digest line per record, fsynced), and hands
-/// it to `sink` instead of accumulating a SweepManifest. Peak memory is
-/// O(reorder window), not O(specs).
+/// process isolation, or the dispatch queue per opts), puts each terminal
+/// record into checkpoint_dir/manifest.dcc as it is emitted (one durable
+/// container_put per record, over the all-pending scaffold write_manifest
+/// laid down first), and hands it to `sink` instead of accumulating a
+/// SweepManifest. Peak memory is O(reorder window), not O(specs).
 StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
                                const SupervisorOptions& opts,
                                const SpecSink& sink);
 
 /// Runs every spec under supervision, up to opts.jobs at a time. The
 /// manifest has one record per spec, in input order; it is also written
-/// to checkpoint_dir/manifest.txt (streamed, see run_specs_streamed)
+/// to checkpoint_dir/manifest.dcc (streamed, see run_specs_streamed)
 /// when a dir is configured. Collecting wrapper over the streaming core.
 SweepManifest run_specs_supervised(const std::vector<RunSpec>& specs,
                                    const SupervisorOptions& opts);
@@ -220,28 +221,32 @@ std::vector<RunResult> completed_results(const SweepManifest& manifest);
 
 // --- manifest / checkpoint file layout ---------------------------------
 
+/// The manifest: a DFTMSNCC container (snapshot/ckpt_container.hpp) of
+/// its own, separate from the checkpoints so that its bytes depend only
+/// on the records, never on how checkpoint puts interleave at a --jobs
+/// value. Entry key = spec index; each payload is one binary spec record
+/// (manifest format v5: status, counters, config digest, detail, the
+/// RunResult with its doubles as bit patterns, the registry).
 std::string manifest_path(const std::string& checkpoint_dir);
+/// The text manifest of builds before format v5 (`manifest.txt`). This
+/// build cannot read it: --resume refuses it by name and --fsck reports
+/// it stale, never deleting it.
+std::string legacy_manifest_path(const std::string& checkpoint_dir);
 /// The single indexed container every spec's checkpoint lives in
 /// ("DFTMSNCC", see snapshot/ckpt_container.hpp); spec index = entry key.
 std::string checkpoint_container_path(const std::string& checkpoint_dir);
 
-/// Writes the manifest as a line-oriented text file (atomic rewrite).
-/// RunResult doubles are stored as their IEEE-754 bit patterns, written
-/// as decimal u64, so a resumed sweep reports bit-identical aggregates.
+/// Atomically replaces `path` with one container image holding every
+/// spec's record (container_write_fresh). The streaming core writes its
+/// all-pending scaffold through this.
 void write_manifest(const std::string& path, const SweepManifest& manifest);
 
-/// Loads a manifest written by write_manifest or streamed by
-/// run_specs_streamed (interior cumulative digest lines are skipped;
-/// later records for a spec win). Returns false if the file does not
-/// exist; throws std::runtime_error if it exists but is malformed.
+/// Loads a manifest written by write_manifest and run_specs_streamed.
+/// Damage is stepped over by the container recovery, which cuts from the
+/// first damaged record on: a spec whose record it cut loads as pending
+/// with config_digest 0, which --resume re-runs. Returns false if the
+/// file does not exist or holds no record; throws std::runtime_error
+/// naming the path for a foreign container or an undecodable record.
 bool load_manifest(const std::string& path, SweepManifest* out);
-
-/// Salvages a streamed manifest with a torn tail: truncates the file
-/// back to its last line-aligned prefix that ends in a validating
-/// cumulative digest line. Returns true when the file validates after
-/// the call (*bytes_removed = 0 if it already did); false when no
-/// validating prefix exists (the file stays untouched).
-bool salvage_manifest_tail(const std::string& path,
-                           std::size_t* bytes_removed);
 
 }  // namespace dftmsn

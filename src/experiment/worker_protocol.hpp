@@ -101,7 +101,7 @@ WorkerExitDecision decode_worker_exit(int wait_status, ResultFrameState frame,
 std::string worker_signal_name(int sig);
 
 /// The IEEE-754 bit pattern of a double and back: how doubles cross the
-/// wire, the progress sinks and the manifest without rounding.
+/// progress sinks and heartbeat frames without rounding.
 inline std::uint64_t double_bits(double v) {
   std::uint64_t u = 0;
   std::memcpy(&u, &v, sizeof(u));
@@ -114,7 +114,8 @@ inline double bits_double(std::uint64_t u) {
   return v;
 }
 
-/// `s` with CR/LF flattened to spaces, safe inside one manifest line.
+/// `s` with CR/LF flattened to spaces, safe inside one line of a failure
+/// detail, a log or a trace argument.
 inline std::string sanitize(std::string s) {
   for (char& c : s)
     if (c == '\n' || c == '\r') c = ' ';

@@ -63,10 +63,6 @@ std::vector<std::uint8_t> make_checkpoint(const World& world) {
   return image;
 }
 
-void write_checkpoint(const std::string& path, const World& world) {
-  snapshot::write_file_atomic(path, make_checkpoint(world));
-}
-
 CheckpointMeta read_checkpoint_meta(const std::vector<std::uint8_t>& image,
                                     std::vector<std::uint8_t>* state) {
   if (image.size() < sizeof(kMagic) + 4 + kDigestBytes)
@@ -117,17 +113,6 @@ CheckpointMeta read_checkpoint_meta(const std::vector<std::uint8_t>& image,
     state->assign(image.begin() + static_cast<std::ptrdiff_t>(state_begin),
                   image.end() - static_cast<std::ptrdiff_t>(kDigestBytes));
   return meta;
-}
-
-CheckpointMeta read_checkpoint_file(const std::string& path,
-                                    std::vector<std::uint8_t>* state) {
-  try {
-    return read_checkpoint_meta(snapshot::read_file(path), state);
-  } catch (const snapshot::SnapshotError& e) {
-    // Image-level validation doesn't know the file name; re-attach it so
-    // a torn or corrupt checkpoint is reported against its path.
-    throw snapshot::SnapshotError("checkpoint " + path + ": " + e.what());
-  }
 }
 
 std::unique_ptr<World> resume_world(const Config& config, ProtocolKind kind,

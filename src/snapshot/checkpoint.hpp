@@ -1,4 +1,5 @@
-// Checkpoint files: a versioned container around a World state snapshot.
+// Checkpoint images: a versioned container around a World state snapshot,
+// stored as the entries of the checkpoint container (ckpt_container.hpp).
 //
 // Layout: magic "DFTMSNCK" + u32 format version, then a "meta" section
 // (config digest, protocol, seed, sim time, executed event count), then
@@ -44,20 +45,14 @@ struct CheckpointMeta {
 /// attempts of one replication share a digest.
 std::uint64_t config_digest(const Config& config, ProtocolKind kind);
 
-/// Serializes `world` into a complete checkpoint file image.
+/// Serializes `world` into a complete checkpoint image (the payload of
+/// one checkpoint container entry).
 std::vector<std::uint8_t> make_checkpoint(const World& world);
-
-/// Atomically writes make_checkpoint(world) to `path`.
-void write_checkpoint(const std::string& path, const World& world);
 
 /// Parses and validates a checkpoint image (magic, version, trailing
 /// digest); returns the meta. `state` (optional) receives the embedded
 /// World state bytes.
 CheckpointMeta read_checkpoint_meta(const std::vector<std::uint8_t>& image,
-                                    std::vector<std::uint8_t>* state = nullptr);
-
-/// Reads + validates a checkpoint file.
-CheckpointMeta read_checkpoint_file(const std::string& path,
                                     std::vector<std::uint8_t>* state = nullptr);
 
 /// Rebuilds a World from (config, kind) and fast-forwards it to the

@@ -31,7 +31,7 @@ constexpr std::uint32_t kKindIndex = 2;
 constexpr std::uint64_t kCompactMinDeadBytes = 256 * 1024;
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw SnapshotError("checkpoint container " + path + ": " + what);
+  throw SnapshotError("container " + path + ": " + what);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -454,6 +454,31 @@ std::vector<std::uint8_t> header_bytes() {
   return h;
 }
 
+/// Lays out a fresh clean container image record by record: the header,
+/// the records with seq 1, 2, ... in the order added, then the index +
+/// footer. Specs must be added in ascending order; finish() hands the
+/// image over and ends the builder's use.
+class FreshImage {
+ public:
+  void add(std::uint64_t spec, const std::uint8_t* payload,
+           std::uint64_t len) {
+    entries_.push_back({spec, seq_, out_.size(), len});
+    append_record(out_, kKindCheckpoint, spec, seq_++, payload, len);
+  }
+
+  std::vector<std::uint8_t> finish() {
+    const std::vector<std::uint8_t> tail =
+        encode_index_and_footer(entries_, seq_, out_.size());
+    out_.insert(out_.end(), tail.begin(), tail.end());
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<std::uint8_t> out_ = header_bytes();
+  std::vector<ContainerEntry> entries_;
+  std::uint64_t seq_ = 1;
+};
+
 /// Serializes exactly the live records into a fresh clean container
 /// image (used by compaction). On the fast path each live record is read
 /// and digest-checked first; a damaged one sends the view to recovery and
@@ -461,25 +486,17 @@ std::vector<std::uint8_t> header_bytes() {
 /// bytes never get sealed under a fresh digest.
 std::vector<std::uint8_t> compacted_image(View& v, const ReadFile& f,
                                           const std::string& path) {
-  std::vector<std::uint8_t> out = header_bytes();
-  std::vector<ContainerEntry> moved;
-  std::uint64_t seq = 1;
+  FreshImage img;
   for (const ContainerEntry& e : v.s.result.entries) {
     std::optional<std::vector<std::uint8_t>> read;
     if (v.indexed && !(read = read_payload(f, e))) {
       v.recover(f, path);
       return compacted_image(v, f, path);
     }
-    moved.push_back({e.spec, seq, out.size(), e.payload_len});
-    append_record(out, kKindCheckpoint, e.spec, seq,
-                  v.indexed ? read->data() : v.image_payload(e),
-                  e.payload_len);
-    ++seq;
+    img.add(e.spec, v.indexed ? read->data() : v.image_payload(e),
+            e.payload_len);
   }
-  const std::vector<std::uint8_t> tail =
-      encode_index_and_footer(moved, seq, out.size());
-  out.insert(out.end(), tail.begin(), tail.end());
-  return out;
+  return img.finish();
 }
 
 /// Writes index + footer at `at`, truncates to the exact end, fsyncs.
@@ -568,6 +585,16 @@ std::optional<std::vector<std::uint8_t>> container_get(
   if (e == nullptr) return std::nullopt;
   const std::uint8_t* payload = v.image_payload(*e);
   return std::vector<std::uint8_t>(payload, payload + e->payload_len);
+}
+
+void container_write_fresh(
+    const std::string& path,
+    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  FreshImage img;
+  for (std::size_t i = 0; i < payloads.size(); ++i)
+    img.add(i, payloads[i].data(), payloads[i].size());
+  ContainerLock lock(path);
+  IoEnv::instance().write_file_atomic_durable(path, img.finish());
 }
 
 void container_erase(const std::string& path, std::uint64_t spec) {

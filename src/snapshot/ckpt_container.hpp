@@ -1,6 +1,9 @@
-// Indexed checkpoint container ("DFTMSNCC" v1): one append-only file
-// holding every spec's latest checkpoint, replacing the file-per-spec
-// `spec_<i>.ckpt` layout.
+// Indexed container ("DFTMSNCC" v1): one append-only file holding the
+// latest record of every spec, keyed by spec index. A sweep keeps two:
+// checkpoints.dcc (each spec's latest World checkpoint) and manifest.dcc
+// (each spec's manifest record, experiment/supervisor.hpp). The
+// container does not look inside payloads; the payload formats carry
+// their own magic or version.
 //
 // Layout:
 //   header   8-byte magic "DFTMSNCC" + u32 version (12 bytes)
@@ -12,7 +15,7 @@
 //            (u64 spec, u64 offset) pairs sorted by spec) followed by a
 //            16-byte footer: u64 index_offset + magic "DFTMSNCF"
 //
-// Updates append: a new checkpoint record overwrites the old index
+// Updates append: a new record overwrites the old index
 // position, then a fresh index + footer go after it and the file is
 // truncated to the exact end. The record a spec previously owned stays
 // behind as a dead record until compaction. Crash tolerance falls out of
@@ -35,7 +38,8 @@
 //   - container_put appends one record plus a new tail;
 //   - container_erase rewrites only the tail;
 //   - compaction reads and digest-checks only the live records it
-//     re-seals;
+//     re-seals, and writes them as one fresh image, the same image
+//     container_write_fresh builds from caller payloads;
 //   - container_scan and container_repair (--fsck) digest-check every
 //     live record.
 // Dead records are never read, so damage there is invisible until
@@ -94,6 +98,13 @@ void container_put(const std::string& path, std::uint64_t spec,
 /// caller starts that spec from scratch, which is the recovery).
 std::optional<std::vector<std::uint8_t>> container_get(
     const std::string& path, std::uint64_t spec);
+
+/// Atomically replaces `path` with a fresh clean container holding
+/// payloads[i] as spec i's record (the image compaction writes, built
+/// from caller data). Durable on return.
+void container_write_fresh(
+    const std::string& path,
+    const std::vector<std::vector<std::uint8_t>>& payloads);
 
 /// Drops spec's entry from the index (the record becomes dead bytes).
 /// No-op when the container or entry is absent.

@@ -12,11 +12,11 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "experiment/supervisor.hpp"
 #include "snapshot/io_env.hpp"
 
 namespace dftmsn {
@@ -50,30 +50,25 @@ std::string sweep_cmd(const std::string& dir, int jobs,
   return cmd.str();
 }
 
-/// The durable content of a manifest: status, config digest and the
-/// bit-exact result/registry lines. Bookkeeping that legitimately
-/// differs between an interrupted-and-resumed sweep and a straight one
-/// (retry/checkpoint counters, the whole-file digest over them) is
-/// stripped; everything else must match byte for byte.
+/// The durable content of a manifest: status, config digest, detail and
+/// the bit-exact result and registry of every spec. Bookkeeping that
+/// legitimately differs between an interrupted-and-resumed sweep and a
+/// straight one (the retry and checkpoint counters) is stripped;
+/// everything else must match bit for bit.
 std::string canonical_manifest(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << "missing manifest: " << path;
+  SweepManifest m;
+  EXPECT_TRUE(load_manifest(path, &m)) << "missing manifest: " << path;
   std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("digest ", 0) == 0) continue;  // whole-file seal
-    if (line.rfind("spec ", 0) == 0) {
-      std::istringstream is(line);
-      std::string tok;
-      while (is >> tok) {
-        if (tok.rfind("retries=", 0) == 0) continue;
-        if (tok.rfind("checkpoints=", 0) == 0) continue;
-        out << tok << ' ';
-      }
-      out << '\n';
-      continue;
-    }
-    out << line << '\n';
+  for (std::size_t i = 0; i < m.specs.size(); ++i) {
+    const SpecRecord& r = m.specs[i];
+    out << "spec " << i << ' ' << spec_status_name(r.status) << " digest="
+        << r.config_digest << " detail=" << r.detail << "\nresult";
+    snapshot::Writer w;
+    save_run_result(r.result, w);
+    for (const std::uint8_t b : w.bytes()) out << ' ' << int(b);
+    out << "\nregistry";
+    for (const std::uint8_t b : r.registry.serialize()) out << ' ' << int(b);
+    out << '\n';
   }
   return out.str();
 }
@@ -88,7 +83,7 @@ void run_matrix(int jobs) {
   const std::string ref_dir = base + "/ref";
   fs::create_directories(ref_dir);
   ASSERT_EQ(run_cmd(sweep_cmd(ref_dir, jobs, "", false)), 0);
-  const std::string ref = canonical_manifest(ref_dir + "/manifest.txt");
+  const std::string ref = canonical_manifest(manifest_path(ref_dir));
   ASSERT_FALSE(ref.empty());
 
   for (const char* op : {"open", "write", "fsync", "rename", "fsyncdir"}) {
@@ -123,7 +118,7 @@ void run_matrix(int jobs) {
 
       ASSERT_EQ(run_cmd(sweep_cmd(dir, jobs, "", true)), 0)
           << fault << " at --jobs " << jobs << ": resume failed";
-      EXPECT_EQ(canonical_manifest(dir + "/manifest.txt"), ref)
+      EXPECT_EQ(canonical_manifest(manifest_path(dir)), ref)
           << fault << " at --jobs " << jobs
           << ": resumed sweep diverged from the uninterrupted run";
       fs::remove_all(dir);

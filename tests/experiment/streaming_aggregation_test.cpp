@@ -12,6 +12,7 @@
 
 #include "experiment/runner.hpp"
 #include "experiment/supervisor.hpp"
+#include "snapshot/ckpt_container.hpp"
 #include "stats/summary.hpp"
 
 namespace dftmsn {
@@ -138,9 +139,9 @@ TEST(StreamingAggregation, SinkSeesStrictIndexOrderExactlyOnce) {
 }
 
 TEST(StreamingAggregation, StreamedManifestEqualsCollectedManifest) {
-  // The streamed (scaffold + appended blocks + cumulative digests) file
-  // must load back to exactly what the collecting wrapper returned, and
-  // salvage of an already-clean file must be a no-op.
+  // The streamed (scaffold + one container put per record) file must
+  // load back to exactly what the collecting wrapper returned, and the
+  // container repair of an already-clean manifest must be a no-op.
   TempDir dir("stream_manifest.tmp");
   std::vector<RunSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -166,9 +167,8 @@ TEST(StreamingAggregation, StreamedManifestEqualsCollectedManifest) {
               manifest.specs[i].result.delivered);
   }
 
-  std::size_t removed = 123;
-  EXPECT_TRUE(salvage_manifest_tail(manifest_path(dir.path), &removed));
-  EXPECT_EQ(removed, 0u) << "salvage of a clean manifest must not cut";
+  EXPECT_FALSE(snapshot::container_repair(manifest_path(dir.path)))
+      << "repair of a clean manifest must not cut";
 }
 
 }  // namespace

@@ -15,6 +15,9 @@
 
 #include "experiment/fsck.hpp"
 #include "experiment/runner.hpp"
+#include "snapshot/checkpoint.hpp"
+#include "snapshot/ckpt_container.hpp"
+#include "snapshot/snapshot_io.hpp"
 
 namespace dftmsn {
 namespace {
@@ -222,36 +225,166 @@ TEST(Supervisor, ManifestRoundTripsThroughDisk) {
   TempDir dir("supervisor_manifest.tmp");
   std::filesystem::create_directories(dir.path);
   SweepManifest m;
-  m.specs.resize(3);
+  m.specs.resize(4);
   m.specs[0].status = SpecStatus::kCompleted;
+  m.specs[0].checkpoints = 7;
   m.specs[0].config_digest = 12345678901234567890ull;
   m.specs[0].result.delivery_ratio = 0.123456789012345;
+  m.specs[0].result.mean_delay_s = -0.0;
+  m.specs[0].result.fairness_jain = 4.9e-324;  // smallest subnormal
   m.specs[0].result.generated = 42;
   m.specs[0].result.events_executed = 99999;
+  m.specs[0].registry.counter("mac.rts_sent")->inc(17);
+  m.specs[0].registry.gauge("queue.fill")->set(0.1 + 0.2);
   m.specs[1].status = SpecStatus::kQuarantined;
   m.specs[1].retries = 3;
   m.specs[1].detail = "watchdog: no event progress for 0.4s wall";
   m.specs[2].status = SpecStatus::kInterrupted;
   m.specs[2].detail = "interrupted at t=450.0";
+  m.specs[3].config_digest = 77;  // pending
 
   const std::string path = manifest_path(dir.path);
   write_manifest(path, m);
   SweepManifest loaded;
   ASSERT_TRUE(load_manifest(path, &loaded));
-  ASSERT_EQ(loaded.specs.size(), 3u);
+  ASSERT_EQ(loaded.specs.size(), 4u);
   EXPECT_EQ(loaded.specs[0].status, SpecStatus::kCompleted);
+  EXPECT_EQ(loaded.specs[0].checkpoints, 7u);
   EXPECT_EQ(loaded.specs[0].config_digest, 12345678901234567890ull);
   EXPECT_TRUE(same_bits(loaded.specs[0].result.delivery_ratio,
                         0.123456789012345));
+  EXPECT_TRUE(same_bits(loaded.specs[0].result.mean_delay_s, -0.0));
+  EXPECT_TRUE(same_bits(loaded.specs[0].result.fairness_jain, 4.9e-324));
   EXPECT_EQ(loaded.specs[0].result.generated, 42u);
+  EXPECT_EQ(loaded.specs[0].result.events_executed, 99999u);
+  ASSERT_FALSE(loaded.specs[0].registry.empty());
+  EXPECT_EQ(loaded.specs[0].registry.serialize(),
+            m.specs[0].registry.serialize());
   EXPECT_EQ(loaded.specs[1].status, SpecStatus::kQuarantined);
   EXPECT_EQ(loaded.specs[1].retries, 3);
   EXPECT_EQ(loaded.specs[1].detail,
             "watchdog: no event progress for 0.4s wall");
   EXPECT_EQ(loaded.specs[2].status, SpecStatus::kInterrupted);
+  EXPECT_EQ(loaded.specs[2].detail, "interrupted at t=450.0");
+  EXPECT_EQ(loaded.specs[3].status, SpecStatus::kPending);
+  EXPECT_EQ(loaded.specs[3].config_digest, 77u);
+  EXPECT_TRUE(loaded.specs[3].registry.empty());
 
   SweepManifest missing;
-  EXPECT_FALSE(load_manifest(dir.path + "/nope.txt", &missing));
+  EXPECT_FALSE(load_manifest(dir.path + "/nope.dcc", &missing));
+}
+
+TEST(Supervisor, FlippedManifestRecordIsRepairedAndItsSpecsReRun) {
+  TempDir dir("supervisor_manifest_flip.tmp");
+  std::vector<RunSpec> specs(3);
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    specs[i].config = small_config(140 + i);
+  SupervisorOptions opts;
+  opts.checkpoint_dir = dir.path;
+  ASSERT_EQ(run_specs_supervised(specs, opts).completed(), 3);
+  const std::string path = manifest_path(dir.path);
+  const std::vector<std::uint8_t> reference = snapshot::read_file(path);
+
+  // Flip one byte inside spec 1's completed record (past its 32-byte
+  // record header).
+  const snapshot::ContainerScanResult scan = snapshot::container_scan(path);
+  ASSERT_EQ(scan.entries.size(), 3u);
+  std::vector<std::uint8_t> bytes = reference;
+  bytes.at(scan.entries[1].offset + 40) ^= 0x5a;
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::ostringstream log;
+  EXPECT_EQ(run_fsck(dir.path, log).exit_code(), 7) << log.str();
+  // The repair cut from the damaged record on: spec 0 keeps its result,
+  // specs 1 and 2 fall back to their scaffold records.
+  SweepManifest cut;
+  ASSERT_TRUE(load_manifest(path, &cut));
+  ASSERT_EQ(cut.specs.size(), 3u);
+  EXPECT_EQ(cut.specs[0].status, SpecStatus::kCompleted);
+  EXPECT_EQ(cut.specs[1].status, SpecStatus::kPending);
+  EXPECT_EQ(cut.specs[2].status, SpecStatus::kPending);
+
+  opts.resume = true;
+  ASSERT_EQ(run_specs_supervised(specs, opts).completed(), 3);
+  EXPECT_EQ(snapshot::read_file(path), reference)
+      << "a resume after the repair must rebuild the uninterrupted "
+         "run's manifest byte for byte";
+}
+
+TEST(Supervisor, ResumeReRunsSpecsWhoseManifestRecordsWereCut) {
+  // A damaged scaffold record leaves no older record to fall back to:
+  // the recovery cuts it and everything after it, and those specs load
+  // as pending with an unknown (0) config digest that --resume accepts.
+  TempDir dir("supervisor_manifest_cut.tmp");
+  std::filesystem::create_directories(dir.path);
+  std::vector<RunSpec> specs(3);
+  SweepManifest scaffold;
+  scaffold.specs.resize(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].config = small_config(160 + i);
+    scaffold.specs[i].config_digest =
+        config_digest(specs[i].config, specs[i].kind);
+  }
+  const std::string path = manifest_path(dir.path);
+  write_manifest(path, scaffold);
+  std::vector<std::uint8_t> bytes = snapshot::read_file(path);
+  bytes.at(snapshot::container_scan(path).entries.at(1).offset + 40) ^= 0x5a;
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+
+  SweepManifest cut;
+  ASSERT_TRUE(load_manifest(path, &cut));
+  ASSERT_EQ(cut.specs.size(), 3u);
+  EXPECT_EQ(cut.specs[0].config_digest, scaffold.specs[0].config_digest);
+  EXPECT_EQ(cut.specs[1].config_digest, 0u);
+  EXPECT_EQ(cut.specs[2].status, SpecStatus::kPending);
+  EXPECT_EQ(cut.specs[2].config_digest, 0u);
+
+  SupervisorOptions opts;
+  opts.checkpoint_dir = dir.path;
+  opts.resume = true;
+  EXPECT_EQ(run_specs_supervised(specs, opts).completed(), 3);
+}
+
+TEST(Supervisor, OlderBuildTextManifestIsRefusedByNameAndReportedStale) {
+  TempDir dir("supervisor_manifest_legacy.tmp");
+  std::vector<RunSpec> specs(1);
+  specs[0].config = small_config(150);
+  SupervisorOptions opts;
+  opts.checkpoint_dir = dir.path;
+  ASSERT_EQ(run_specs_supervised(specs, opts).completed(), 1);
+  const std::string legacy = legacy_manifest_path(dir.path);
+  std::ofstream(legacy) << "dftmsn-manifest v4\nspecs 1\n";
+
+  opts.resume = true;
+  try {
+    run_specs_supervised(specs, opts);
+    ADD_FAILURE() << "resume accepted a directory holding " << legacy;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(legacy), std::string::npos)
+        << e.what();
+  }
+
+  std::ostringstream log;
+  const FsckReport rep = run_fsck(dir.path, log);
+  EXPECT_EQ(rep.exit_code(), 2) << log.str();
+  bool reported = false;
+  for (const FsckFinding& f : rep.findings)
+    if (f.path == legacy) {
+      reported = true;
+      EXPECT_EQ(f.classification, "stale");
+      EXPECT_FALSE(f.repaired);
+    }
+  EXPECT_TRUE(reported) << log.str();
+  EXPECT_TRUE(std::filesystem::exists(legacy))
+      << "fsck must never delete a manifest";
 }
 
 TEST(Supervisor, SweepAggregationSkipsQuarantinedPoints) {
@@ -290,16 +423,18 @@ TEST(Supervisor, ExternalStopMarksSpecsInterrupted) {
 
 TEST(Supervisor, FsckDeletesWorkerFilesFromOlderBuilds) {
   // Builds before worker protocol v4 left spec_N.req/.result/.progress
-  // files in the checkpoint dir; nothing reads them any more.
+  // files in the checkpoint dir, and builds before manifest format v5 a
+  // dispatch.leases journal; nothing reads them any more.
   TempDir dir("supervisor_fsck_leftovers.tmp");
   std::filesystem::create_directories(dir.path);
-  for (const char* name : {"spec_0.req", "spec_0.result", "spec_0.progress"})
+  for (const char* name : {"spec_0.req", "spec_0.result", "spec_0.progress",
+                           "dispatch.leases"})
     std::ofstream(dir.path + "/" + name) << "stale";
 
   std::ostringstream log;
   const FsckReport rep = run_fsck(dir.path, log);
   EXPECT_EQ(rep.exit_code(), 7) << log.str();
-  ASSERT_EQ(rep.findings.size(), 3u) << log.str();
+  ASSERT_EQ(rep.findings.size(), 4u) << log.str();
   for (const FsckFinding& f : rep.findings) {
     EXPECT_EQ(f.classification, "leftover") << f.path;
     EXPECT_TRUE(f.repaired) << f.path;

@@ -179,7 +179,7 @@ TEST(CorruptionFuzz, Manifest) {
   SweepArtifacts made(dir.path);
   const auto original = slurp(manifest_path(dir.path));
 
-  fuzz_file(original, dir.path + "/fuzzed_manifest.txt",
+  fuzz_file(original, dir.path + "/fuzzed_manifest.dcc",
             [](const std::string& p) {
               SweepManifest m;
               load_manifest(p, &m);
