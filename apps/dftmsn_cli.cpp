@@ -126,8 +126,10 @@ int usage(int code) {
       "  --dispatch-port P serve the sweep as a lease-based work queue on\n"
       "                    TCP port P (0 = ephemeral port, announced as\n"
       "                    \"dispatch: listening on HOST:PORT\"); specs run\n"
-      "                    on connected --connect workers; incompatible\n"
-      "                    with --isolate process\n"
+      "                    on connected --connect workers, and with\n"
+      "                    --isolate process also on --jobs local worker\n"
+      "                    processes; checkpoints and resumes work as in\n"
+      "                    the local modes\n"
       "  --dispatch-bind A bind address for --dispatch-port\n"
       "                    (default 127.0.0.1)\n"
       "  --lease-secs S    lease duration per granted batch; heartbeats\n"
@@ -216,9 +218,9 @@ extern "C" void handle_stop_signal(int) {
 
 int main(int argc, char** argv) {
   // Arm the I/O fault schedule before anything can touch the disk. The
-  // environment variable (not a flag) is the canonical carrier so an
-  // --isolate=process parent's schedule reaches the workers it spawns;
-  // scope=parent/worker tokens then pick which process a fault fires in.
+  // environment variable (not a flag) is the canonical carrier; workers
+  // inherit it but never write a file, so every fault fires in the
+  // sweep parent.
   if (const char* spec = std::getenv("DFTMSN_IO_FAULTS");
       spec != nullptr && *spec != '\0') {
     try {
@@ -267,7 +269,6 @@ int main(int argc, char** argv) {
         std::cerr << "--worker needs a file descriptor number\n";
         return 2;
       }
-      snapshot::IoEnv::instance().set_scope(snapshot::IoScope::kWorker);
       return run_worker_link(std::atoi(fd.c_str()));
     }
     if (arg == "--connect") {
@@ -508,11 +509,6 @@ int main(int argc, char** argv) {
   if ((sup.resume || sup.checkpoint_every_s > 0) &&
       sup.checkpoint_dir.empty()) {
     std::cerr << "--resume/--checkpoint-every need --checkpoint-dir\n";
-    return 2;
-  }
-  if (sup.dispatch.enabled() && sup.isolate == IsolationMode::kProcess) {
-    std::cerr << "--dispatch-port runs specs on connected workers; it is "
-                 "incompatible with --isolate process\n";
     return 2;
   }
   if (!status_read_dir.empty()) return run_status_reader(status_read_dir,

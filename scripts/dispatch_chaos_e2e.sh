@@ -5,7 +5,9 @@
 # deadline, and severed mid-connection — and still produce a manifest
 # and a --report-json byte-identical to clean in-process runs at
 # --jobs 1 and --jobs 4. That is the whole robustness contract in one
-# assertion: transport chaos may cost wall time, never bytes.
+# assertion: transport chaos may cost wall time, never bytes. A last leg
+# checkpoints (--checkpoint-every) and SIGKILLs a worker mid-spec: the
+# requeued spec must resume from its last image, not from event 0.
 #
 # Usage: dispatch_chaos_e2e.sh <path-to-dftmsn_cli> [workdir]
 set -u
@@ -117,6 +119,45 @@ grep -q '"requeues": 0' "$WORK/chaos/status.json" \
   && fail "chaos run never requeued a batch — the chaos did not bite"
 grep -q '"dispatch"' "$WORK/chaos/status.json" \
   || fail "chaos status.json carries no dispatch section"
+
+# --- checkpointed chaos: a SIGKILLed worker's spec resumes --------------
+# A worker that already streamed checkpoint images dies mid-spec; its
+# spec is requeued and the next attempt resumes from the last image the
+# supervisor accepted, so the report (checkpoint total included) and the
+# manifest still equal a clean checkpointed in-process run's.
+# Half the replications keep this leg's cost down under sanitizers.
+CKPT=(--reps 4 --checkpoint-every 4000)
+"$CLI" "${ARGS[@]}" "${CKPT[@]}" --jobs 4 --checkpoint-dir "$WORK/ckref" \
+    --report-json "$WORK/ckref.json" > "$WORK/ckref.txt" \
+  || fail "checkpointed reference run exited $?"
+start_dispatcher ckchaos --lease-secs 1 "${CKPT[@]}" \
+    --trace-out "$WORK/ckchaos.trace"
+"$CLI" --connect "127.0.0.1:$PORT" > "$WORK/ckchaos.k.txt" 2>&1 &
+WK=$!   # SIGKILLed once its first image reached the supervisor
+for _ in $(seq 1 500); do
+  grep -q '"name": "checkpoint"' "$WORK/ckchaos.trace" 2>/dev/null && break
+  sleep 0.01
+done
+kill -KILL "$WK" 2>/dev/null
+wait "$WK" 2>/dev/null
+grep -q '"name": "checkpoint"' "$WORK/ckchaos.trace" \
+  || fail "the first worker never delivered a checkpoint"
+"$CLI" --connect "127.0.0.1:$PORT" > "$WORK/ckchaos.a.txt" 2>&1 &
+WA=$!
+"$CLI" --connect "127.0.0.1:$PORT" > "$WORK/ckchaos.b.txt" 2>&1 &
+WB=$!
+wait "$DISPATCH_PID" || fail "checkpointed chaos parent exited $?"
+wait "$WA" || fail "checkpointed chaos worker A exited $?"
+wait "$WB" || fail "checkpointed chaos worker B exited $?"
+grep -q '"name": "requeue"' "$WORK/ckchaos.trace" \
+  || fail "the SIGKILLed worker's spec was never requeued"
+grep '"name": "resume"' "$WORK/ckchaos.trace" \
+    | grep -Eq '"events": "[1-9][0-9]*"' \
+  || fail "the requeued spec restarted from event 0"
+cmp "$WORK/ckref.json" "$WORK/ckchaos.json" \
+  || fail "checkpointed chaos report differs from the clean reference"
+cmp "$WORK/ckref/manifest.dcc" "$WORK/ckchaos/manifest.dcc" \
+  || fail "checkpointed chaos manifest differs from the clean reference"
 
 echo "PASS: dispatched sweeps byte-identical to in-process under chaos"
 rm -rf "$WORK"

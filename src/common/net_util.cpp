@@ -1,10 +1,8 @@
 #include "common/net_util.hpp"
 
-#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstdint>
-#include <chrono>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -28,12 +26,6 @@ in_addr_t parse_addr(const std::string& host, const std::string& what) {
   if (::inet_pton(AF_INET, host.c_str(), &a) != 1)
     throw NetError(what + ": not a numeric IPv4 address: " + host);
   return a.s_addr;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -141,29 +133,11 @@ ssize_t recv_some(int fd, void* buf, std::size_t len) {
   }
 }
 
-bool read_full(int fd, void* buf, std::size_t len, double timeout_s) {
-  std::uint8_t* out = static_cast<std::uint8_t*>(buf);
-  std::size_t got = 0;
-  const double deadline = now_s() + timeout_s;
-  while (got < len) {
-    const double remain = deadline - now_s();
-    if (remain <= 0.0) throw NetError("read_full: timed out");
-    pollfd p{fd, POLLIN, 0};
-    const int timeout_ms =
-        static_cast<int>(std::min(remain * 1000.0 + 1.0, 3600.0 * 1000.0));
-    if (poll_retry(&p, 1, timeout_ms) == 0) continue;
-    const ssize_t n = recv_some(fd, out + got, len - got);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      throw_errno("read_full: recv");
-    }
-    if (n == 0) {
-      if (got == 0) return false;  // clean EOF between frames
-      throw NetError("read_full: connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
+ssize_t send_some(int fd, const void* data, std::size_t len) {
+  for (;;) {
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0 || errno != EINTR) return n;
   }
-  return true;
 }
 
 void write_full(int fd, const void* data, std::size_t len) {

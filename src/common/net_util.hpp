@@ -47,10 +47,10 @@ int poll_retry(pollfd* fds, nfds_t nfds, int timeout_ms);
 /// or -1 with errno set (including EAGAIN/EWOULDBLOCK).
 ssize_t recv_some(int fd, void* buf, std::size_t len);
 
-/// Reads exactly `len` bytes, polling up to `timeout_s` seconds total.
-/// Returns false on a clean EOF before the first byte; throws NetError
-/// on mid-stream EOF, socket error, or deadline expiry.
-bool read_full(int fd, void* buf, std::size_t len, double timeout_s);
+/// One non-blocking send(2) (MSG_NOSIGNAL | MSG_DONTWAIT) with EINTR
+/// retry. Returns bytes sent, or -1 with errno set (EAGAIN/EWOULDBLOCK
+/// when the socket buffer is full).
+ssize_t send_some(int fd, const void* data, std::size_t len);
 
 /// Writes all `len` bytes (MSG_NOSIGNAL, EINTR/short-write retry).
 /// Throws NetError if the peer is gone or the socket errors.

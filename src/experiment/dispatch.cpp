@@ -1,30 +1,17 @@
 #include "experiment/dispatch.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstring>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "common/net_util.hpp"
 #include "snapshot/snapshot_io.hpp"
-#include "telemetry/status.hpp"
 
 namespace dftmsn {
 namespace {
 
 using snapshot::SnapshotError;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
@@ -79,6 +66,7 @@ const char* frame_type_name(FrameType t) {
     case FrameType::kNoWork: return "nowork";
     case FrameType::kResult: return "result";
     case FrameType::kHeartbeat: return "heartbeat";
+    case FrameType::kCheckpoint: return "checkpoint";
   }
   return "?";
 }
@@ -133,15 +121,67 @@ std::vector<std::uint8_t> encode_result_frame(
 std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
                                                  std::uint64_t spec,
                                                  std::uint64_t events,
-                                                 std::uint64_t sim_time_bits,
-                                                 std::uint64_t checkpoint_seq) {
+                                                 std::uint64_t sim_time_bits) {
   snapshot::Writer w;
   w.u64(lease_id);
   w.u64(spec);
   w.u64(events);
   w.u64(sim_time_bits);
-  w.u64(checkpoint_seq);
   return frame_payload(FrameType::kHeartbeat, w);
+}
+
+std::vector<std::uint8_t> encode_checkpoint_frames(
+    std::uint64_t lease_id, std::uint64_t spec,
+    const std::vector<std::uint8_t>& image) {
+  std::vector<std::uint8_t> out;
+  std::size_t off = 0;
+  do {
+    const std::size_t len = std::min(kCheckpointChunk, image.size() - off);
+    snapshot::Writer w;
+    w.u64(lease_id);
+    w.u64(spec);
+    w.u64(off);
+    w.u64(image.size());
+    w.str(std::string(image.begin() + static_cast<std::ptrdiff_t>(off),
+                      image.begin() + static_cast<std::ptrdiff_t>(off + len)));
+    const std::vector<std::uint8_t> frame =
+        frame_payload(FrameType::kCheckpoint, w);
+    out.insert(out.end(), frame.begin(), frame.end());
+    off += len;
+  } while (off < image.size());
+  return out;
+}
+
+std::optional<std::vector<std::uint8_t>> ImageParts::add(
+    WireFrame&& f, const std::string& context, bool keep) {
+  if (got_ == total_) {  // nothing in flight: this chunk starts an image
+    if (f.total == 0 || f.total > kMaxCheckpointImage)
+      throw SnapshotError(context + ": checkpoint image of " +
+                          std::to_string(f.total) + " bytes for spec " +
+                          std::to_string(f.spec) + " (accepted: 1 to " +
+                          std::to_string(kMaxCheckpointImage) + ")");
+    lease_ = f.lease_id;
+    spec_ = f.spec;
+    total_ = f.total;
+    got_ = 0;
+    keep_ = keep;
+  }
+  if (f.lease_id != lease_ || f.spec != spec_ || f.total != total_ ||
+      f.offset != got_ || f.chunk.empty() ||
+      f.chunk.size() > total_ - got_) {
+    total_ = got_ = 0;
+    buf_ = {};
+    throw SnapshotError(context + ": checkpoint chunk at offset " +
+                        std::to_string(f.offset) + " of " +
+                        std::to_string(f.total) + " bytes for spec " +
+                        std::to_string(f.spec) + " is out of sequence");
+  }
+  got_ += f.chunk.size();
+  if (keep_) buf_.insert(buf_.end(), f.chunk.begin(), f.chunk.end());
+  if (got_ < total_ || !keep_) return std::nullopt;
+  std::vector<std::uint8_t> image = std::move(buf_);
+  buf_ = {};
+  return image;
 }
 
 std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
@@ -150,7 +190,7 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
   if (get_u32(data) != kDispatchFrameMagic)
     throw SnapshotError(context + ": bad frame magic");
   const std::uint8_t type = data[4];
-  if (type < 1 || type > 6)
+  if (type < 1 || type > 7)
     throw SnapshotError(context + ": unknown frame type " +
                         std::to_string(int(type)));
   const std::uint32_t plen = get_u32(data + 5);
@@ -211,7 +251,13 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
         f.spec = r.u64();
         f.events = r.u64();
         f.sim_time_bits = r.u64();
-        f.checkpoint_seq = r.u64();
+        break;
+      case FrameType::kCheckpoint:
+        f.lease_id = r.u64();
+        f.spec = r.u64();
+        f.offset = r.u64();
+        f.total = r.u64();
+        f.chunk = str_blob(r.str());
         break;
     }
     if (!r.at_end())
@@ -250,397 +296,6 @@ bool read_frame(int fd, std::vector<std::uint8_t>& buf,
       throw net::NetError(context + ": recv: " + std::strerror(errno));
     buf.insert(buf.end(), chunk, chunk + got);
   }
-}
-
-namespace {
-
-enum class SState : std::uint8_t { kReady, kWaiting, kLeased, kTerminal };
-
-struct ConnState {
-  std::string name;
-  bool said_hello = false;
-  std::vector<std::uint8_t> buf;
-};
-
-struct LeaseState {
-  int fd = -1;
-  std::vector<std::size_t> outstanding;
-  double deadline = 0.0;
-  std::map<std::size_t, std::uint64_t> last_events;
-};
-
-}  // namespace
-
-void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
-                        const DispatchOptions& opts,
-                        const DispatchPolicy& policy,
-                        telemetry::StatusBoard* board, DispatchCallbacks cb) {
-  const int lfd = net::listen_tcp(opts.bind, opts.port, /*backlog=*/16);
-  const int port = net::bound_port(lfd);
-  if (opts.port_out != nullptr) opts.port_out->store(port);
-  if (cb.announce)
-    cb.announce("dispatch: listening on " + opts.bind + ":" +
-                std::to_string(port));
-  if (board != nullptr) board->dispatch_enable();
-
-  const std::size_t n = num_specs;
-  std::vector<SState> st(n, SState::kReady);
-  std::vector<int> attempt(n, 0);
-  std::vector<int> requeues(n, 0);
-  std::vector<double> ready_at(n, 0.0);
-  std::vector<char> ever_started(n, 0);
-  std::deque<std::size_t> ready;
-  std::size_t terminal = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i < skip.size() && skip[i]) {
-      st[i] = SState::kTerminal;
-      ++terminal;
-    } else {
-      ready.push_back(i);
-    }
-  }
-
-  std::map<int, ConnState> conns;
-  std::map<std::uint64_t, LeaseState> leases;
-  std::uint64_t next_lease_id = 1;
-  telemetry::DispatchCounters counters;
-
-  const auto push_board = [&] {
-    if (board != nullptr) board->dispatch_update(counters);
-  };
-
-  const auto worker_active = [&](int fd) {
-    std::uint64_t active = 0;
-    for (const auto& [id, lease] : leases)
-      if (lease.fd == fd) active += lease.outstanding.size();
-    return active;
-  };
-
-  const auto update_worker_row = [&](int fd, bool connected) {
-    if (board == nullptr) return;
-    const auto it = conns.find(fd);
-    if (it == conns.end() || it->second.name.empty()) return;
-    board->dispatch_worker(it->second.name, connected,
-                           connected ? worker_active(fd) : 0);
-  };
-
-  // A batch lost in transit (dead/hung/partitioned worker): back on the
-  // queue under its own bounded backoff. Transport losses deliberately
-  // do not consume the sim retry budget — the spec never *failed*, its
-  // worker did — so a dispatched sweep's manifest retries stay
-  // identical to a clean local run's.
-  const auto requeue_spec = [&](std::size_t i, const std::string& reason) {
-    if (st[i] != SState::kLeased) return;
-    ++requeues[i];
-    ++counters.requeues;
-    if (requeues[i] > policy.max_transport_requeues) {
-      st[i] = SState::kTerminal;
-      ++terminal;
-      const std::string detail = sanitize(
-          "dispatch: batch lost " + std::to_string(requeues[i]) +
-          " times (last: " + reason + ")");
-      if (cb.on_quarantined) cb.on_quarantined(i, attempt[i], detail);
-      return;
-    }
-    st[i] = SState::kWaiting;
-    ready_at[i] =
-        now_s() + std::min(5.0, policy.retry_backoff_s *
-                                    std::pow(2.0, requeues[i] - 1));
-    if (cb.on_requeued) cb.on_requeued(i, requeues[i], reason);
-  };
-
-  const auto release_lease = [&](std::uint64_t id, const std::string& why,
-                                 bool requeue) {
-    const auto it = leases.find(id);
-    if (it == leases.end()) return;
-    const std::vector<std::size_t> outstanding = it->second.outstanding;
-    leases.erase(it);
-    if (requeue)
-      for (const std::size_t i : outstanding) requeue_spec(i, why);
-  };
-
-  const auto drop_conn = [&](int fd, const std::string& why) {
-    update_worker_row(fd, false);
-    std::vector<std::uint64_t> owned;
-    for (const auto& [id, lease] : leases)
-      if (lease.fd == fd) owned.push_back(id);
-    for (const std::uint64_t id : owned) release_lease(id, why, true);
-    ::close(fd);
-    conns.erase(fd);
-  };
-
-  const auto send_frame = [&](int fd, const std::vector<std::uint8_t>& bytes) {
-    try {
-      net::write_full(fd, bytes.data(), bytes.size());
-      return true;
-    } catch (const net::NetError& e) {
-      drop_conn(fd, e.what());
-      return false;
-    }
-  };
-
-  // Remove a spec from whatever lease still carries it (its own, or a
-  // re-lease that raced a slow first worker).
-  const auto detach_spec = [&](std::size_t i) {
-    for (auto& [id, lease] : leases) {
-      auto& v = lease.outstanding;
-      v.erase(std::remove(v.begin(), v.end(), i), v.end());
-    }
-    for (auto it = leases.begin(); it != leases.end();) {
-      if (it->second.outstanding.empty())
-        it = leases.erase(it);
-      else
-        ++it;
-    }
-  };
-
-  const auto handle_result = [&](int fd, WireFrame&& f,
-                                 const std::string& ctx) {
-    if (f.spec >= n)
-      throw SnapshotError(ctx + ": result for unknown spec " +
-                          std::to_string(f.spec));
-    if (st[f.spec] == SState::kTerminal) {
-      // Idempotent completion: the first accepted result won; a
-      // resurrected or raced worker's duplicate is discarded by spec id.
-      ++counters.duplicates_discarded;
-      detach_spec(f.spec);
-      return;
-    }
-    // Validate before any state change: a torn sealed image inside a
-    // digest-clean frame is still a protocol violation.
-    WorkerResult wres;
-    try {
-      wres = decode_worker_result(f.result);
-    } catch (const std::exception& e) {
-      throw SnapshotError(ctx + ": undecodable result image for spec " +
-                          std::to_string(f.spec) + ": " + e.what());
-    }
-    detach_spec(f.spec);
-    const int a = static_cast<int>(
-        std::clamp<std::int64_t>(f.attempt, 0, 1 << 20));
-    if (wres.ok) {
-      st[f.spec] = SState::kTerminal;
-      ++terminal;
-      ++counters.results_accepted;
-      if (cb.on_completed) cb.on_completed(f.spec, a, std::move(wres));
-    } else {
-      // Worker-reported simulation failure: the normal retry /
-      // quarantine path, with the local loop's detail formatting.
-      const std::string detail =
-          sanitize("attempt " + std::to_string(a) + ": " + wres.error);
-      const int next_attempt = a + 1;
-      attempt[f.spec] = next_attempt;
-      if (next_attempt > policy.max_retries) {
-        st[f.spec] = SState::kTerminal;
-        ++terminal;
-        if (cb.on_quarantined) cb.on_quarantined(f.spec, next_attempt, detail);
-      } else {
-        st[f.spec] = SState::kWaiting;
-        ready_at[f.spec] =
-            now_s() + std::min(5.0, policy.retry_backoff_s *
-                                        std::pow(2.0, next_attempt - 1));
-        if (cb.on_retrying) cb.on_retrying(f.spec, next_attempt, detail);
-      }
-    }
-    update_worker_row(fd, true);
-  };
-
-  const auto handle_request = [&](int fd) {
-    std::vector<GrantItem> items;
-    std::vector<std::size_t> granted;
-    while (!ready.empty() &&
-           granted.size() < static_cast<std::size_t>(
-                                std::max(1, opts.batch_size))) {
-      const std::size_t i = ready.front();
-      ready.pop_front();
-      if (st[i] != SState::kReady) continue;  // stale queue entry
-      GrantItem it;
-      it.spec = i;
-      it.attempt = attempt[i];
-      it.request = cb.make_request ? cb.make_request(i, attempt[i])
-                                   : std::vector<std::uint8_t>();
-      items.push_back(std::move(it));
-      granted.push_back(i);
-    }
-    if (items.empty()) {
-      send_frame(fd, encode_nowork_frame(terminal == n));
-      return;
-    }
-    const std::uint64_t id = next_lease_id++;
-    LeaseState lease;
-    lease.fd = fd;
-    lease.outstanding = granted;
-    lease.deadline = now_s() + opts.lease_secs;
-    for (const std::size_t i : granted) {
-      st[i] = SState::kLeased;
-      ever_started[i] = 1;
-      lease.last_events[i] = 0;
-      if (cb.on_started) cb.on_started(i, attempt[i]);
-    }
-    leases[id] = std::move(lease);
-    ++counters.batches_granted;
-    if (send_frame(fd, encode_grant_frame(id, opts.lease_secs, items)))
-      update_worker_row(fd, true);
-  };
-
-  const auto handle_heartbeat = [&](const WireFrame& f) {
-    const auto it = leases.find(f.lease_id);
-    if (it == leases.end()) return;  // expired lease: heartbeat is stale
-    LeaseState& lease = it->second;
-    const auto spec_it = std::find(lease.outstanding.begin(),
-                                   lease.outstanding.end(),
-                                   static_cast<std::size_t>(f.spec));
-    if (spec_it == lease.outstanding.end()) return;
-    // Only *progressing* heartbeats extend the lease: a SIGSTOPed or
-    // wedged worker keeps the TCP stream alive but its event counter
-    // freezes, so its lease still expires and the batch is reassigned.
-    if (f.events > lease.last_events[f.spec]) {
-      lease.last_events[f.spec] = f.events;
-      lease.deadline = now_s() + opts.lease_secs;
-      if (cb.on_progress)
-        cb.on_progress(f.spec, f.events, bits_double(f.sim_time_bits));
-    }
-  };
-
-  bool stopped = false;
-  std::vector<std::uint8_t> rbuf(64 * 1024);
-  for (;;) {
-    if (policy.stop != nullptr && policy.stop->load()) {
-      stopped = true;
-      break;
-    }
-    const double now = now_s();
-
-    // Waiting specs whose backoff elapsed go back on the queue.
-    for (std::size_t i = 0; i < n; ++i)
-      if (st[i] == SState::kWaiting && ready_at[i] <= now) {
-        st[i] = SState::kReady;
-        ready.push_back(i);
-      }
-
-    // Expired leases: the worker crashed, hung, or was partitioned —
-    // whatever the cause, it lost the lease and the batch is requeued.
-    {
-      std::vector<std::uint64_t> expired;
-      for (const auto& [id, lease] : leases)
-        if (lease.deadline <= now) expired.push_back(id);
-      for (const std::uint64_t id : expired) {
-        ++counters.leases_expired;
-        const int fd = leases[id].fd;
-        release_lease(id, "lease expired", true);
-        update_worker_row(fd, true);
-      }
-    }
-    push_board();
-
-    if (terminal == n) break;
-
-    std::vector<pollfd> pfds;
-    pfds.push_back({lfd, POLLIN, 0});
-    for (const auto& [fd, conn] : conns) pfds.push_back({fd, POLLIN, 0});
-    net::poll_retry(pfds.data(), pfds.size(), /*timeout_ms=*/50);
-
-    if (pfds[0].revents & POLLIN) {
-      const int fd = net::accept_retry(lfd);
-      if (fd >= 0) conns.emplace(fd, ConnState{});
-    }
-
-    for (std::size_t k = 1; k < pfds.size(); ++k) {
-      const int fd = pfds[k].fd;
-      if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (conns.find(fd) == conns.end()) continue;  // dropped this round
-      const ssize_t got = net::recv_some(fd, rbuf.data(), rbuf.size());
-      if (got < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        drop_conn(fd, std::strerror(errno));
-        continue;
-      }
-      if (got == 0) {
-        drop_conn(fd, "connection closed");
-        continue;
-      }
-      ConnState& conn = conns[fd];
-      conn.buf.insert(conn.buf.end(), rbuf.data(), rbuf.data() + got);
-      const std::string ctx =
-          "dispatch connection '" +
-          (conn.name.empty() ? "fd" + std::to_string(fd) : conn.name) + "'";
-      try {
-        for (;;) {
-          WireFrame f;
-          const std::size_t used =
-              try_extract_frame(conn.buf.data(), conn.buf.size(), ctx, &f);
-          if (used == 0) break;
-          conn.buf.erase(conn.buf.begin(),
-                         conn.buf.begin() + static_cast<std::ptrdiff_t>(used));
-          if (!conn.said_hello) {
-            check_hello(f, ctx);
-            conn.said_hello = true;
-            conn.name = f.worker_name.empty()
-                            ? "fd" + std::to_string(fd)
-                            : sanitize(f.worker_name);
-            update_worker_row(fd, true);
-            continue;
-          }
-          switch (f.type) {
-            case FrameType::kRequest:
-              handle_request(fd);
-              break;
-            case FrameType::kResult:
-              handle_result(fd, std::move(f), ctx);
-              break;
-            case FrameType::kHeartbeat:
-              handle_heartbeat(f);
-              break;
-            default:
-              throw SnapshotError(ctx + ": unexpected " +
-                                  std::string(frame_type_name(f.type)) +
-                                  " frame from a worker");
-          }
-          if (conns.find(fd) == conns.end()) break;  // send failure dropped it
-        }
-      } catch (const std::exception& e) {
-        // Torn/corrupt/hostile frame: named rejection, connection drop,
-        // batches requeued. Never a crash, never a wrong accept.
-        if (cb.announce)
-          cb.announce(std::string("dispatch: dropping connection: ") +
-                      e.what());
-        drop_conn(fd, e.what());
-      }
-    }
-  }
-
-  if (stopped) {
-    // External stop: surface every unfinished spec as interrupted, in
-    // index order, exactly once.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (st[i] == SState::kTerminal) continue;
-      st[i] = SState::kTerminal;
-      ++terminal;
-      if (cb.on_interrupted)
-        cb.on_interrupted(
-            i, ever_started[i] ? "interrupted (dispatch stopped)"
-                               : std::string());
-    }
-  }
-
-  // Sweep over (or stopped): tell every connected worker, best-effort,
-  // then tear the plane down.
-  for (const auto& [fd, conn] : conns) {
-    try {
-      const auto bye = encode_nowork_frame(true);
-      net::write_full(fd, bye.data(), bye.size());
-    } catch (const net::NetError&) {
-    }
-  }
-  for (const auto& [fd, conn] : conns) {
-    if (board != nullptr && !conn.name.empty())
-      board->dispatch_worker(conn.name, false, 0);
-    ::close(fd);
-  }
-  conns.clear();
-  leases.clear();
-  push_board();
-  ::close(lfd);
 }
 
 }  // namespace dftmsn

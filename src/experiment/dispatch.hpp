@@ -1,13 +1,11 @@
-// Lease-based TCP work queue for supervised sweeps, and the wire frames
-// every worker link speaks.
+// The wire frames every worker link speaks, and the dispatcher's knobs.
 //
-// The dispatcher runs inside the sweep parent (`--dispatch-port`): it
-// listens on a TCP socket (loopback by default, bindable for LAN) and
-// hands out batches of replication specs under time-bounded leases.
-// Pull-mode workers (`dftmsn_cli --connect HOST:PORT`) request work,
-// heartbeat while running, and stream back results. The locally spawned
-// workers of `--isolate process` run the same worker loop over a
-// socketpair (experiment/worker.hpp). Every message is one *frame*:
+// A sweep has one scheduler (experiment/spec_queue.hpp, driven by the
+// supervisor): it leases specs to in-thread executors and to the
+// spawned `--worker FD` children of `--isolate process`, each reporting
+// over a socketpair, and, with `--dispatch-port`, to pull-mode workers
+// (`dftmsn_cli --connect HOST:PORT`) over TCP (loopback by default,
+// bindable for LAN). Every link carries the same frames:
 //
 //   offset 0  u32   magic "DFW3" (0x33574644 little-endian; names the
 //                   frame layout, unchanged since protocol v3)
@@ -19,35 +17,37 @@
 //
 // Spec configs and results cross the wire as sealed container images
 // (encode_worker_request / encode_worker_result), validated on arrival.
-// A torn, truncated or tampered frame throws and drops the connection —
-// never a crash, never a silently wrong accept. The hello frame carries
-// kWorkerProtocolVersion; a worker of another version is refused.
+// Checkpoint images cross as checkpoint frames, in chunks, both ways: a
+// worker streams each periodic image to the supervisor, which alone
+// writes checkpoints.dcc, and a grant that resumes a spec is preceded by
+// the spec's last image. A torn, truncated or tampered frame throws and
+// drops the connection — never a crash, never a silently wrong accept.
+// The hello frame carries kWorkerProtocolVersion; a worker of another
+// version is refused.
 //
 // Failure semantics (docs/distributed_sweeps.md):
 //  - crash / hang / partition: the worker stops heartbeating (or its
 //    heartbeats stop showing progress), the lease expires, and the
-//    batch is requeued with bounded backoff. Transport losses do not
-//    consume the spec's simulation retry budget.
+//    batch is requeued with bounded backoff to resume from its last
+//    image. Transport losses do not consume the spec's simulation retry
+//    budget.
 //  - simulation failure (the worker *reports* an error result): the
 //    normal retry/quarantine path, identical to the local modes.
 //  - duplicates: completion is idempotent — the first accepted result
 //    per spec wins; later results for a terminal spec are discarded by
-//    spec id (a resurrected worker cannot double-publish).
+//    spec id (a resurrected worker cannot double-publish), and images or
+//    heartbeats from a lease that no longer holds the spec are ignored.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "experiment/worker_protocol.hpp"
 
 namespace dftmsn {
-
-namespace telemetry {
-class StatusBoard;
-}
 
 /// CLI-facing dispatcher knobs (a member of SupervisorOptions).
 struct DispatchOptions {
@@ -65,6 +65,9 @@ inline constexpr std::uint32_t kDispatchFrameMagic = 0x33574644;  // "DFW3"
 inline constexpr std::size_t kDispatchFrameHeader = 9;
 inline constexpr std::size_t kDispatchFrameTrailer = 8;
 inline constexpr std::size_t kMaxDispatchPayload = 64u << 20;
+/// Checkpoint image bytes per checkpoint frame; larger images span
+/// several frames.
+inline constexpr std::size_t kCheckpointChunk = 4u << 20;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,      ///< worker -> dispatcher: version + worker name
@@ -73,6 +76,7 @@ enum class FrameType : std::uint8_t {
   kNoWork = 4,     ///< dispatcher -> worker: nothing now (done=sweep over)
   kResult = 5,     ///< worker -> dispatcher: one spec's sealed result
   kHeartbeat = 6,  ///< worker -> dispatcher: liveness + progress
+  kCheckpoint = 7, ///< either way: one chunk of a spec's checkpoint image
 };
 
 /// One spec of a lease grant: the sealed worker-request image plus the
@@ -89,19 +93,23 @@ struct WireFrame {
   // kHello
   std::uint32_t version = 0;
   std::string worker_name;
-  // kGrant / kResult / kHeartbeat
+  // kGrant / kResult / kHeartbeat / kCheckpoint
   std::uint64_t lease_id = 0;
   double lease_secs = 0.0;
   std::vector<GrantItem> items;
   // kNoWork
   bool done = false;
-  // kResult / kHeartbeat
+  // kResult / kHeartbeat / kCheckpoint
   std::uint64_t spec = 0;
   std::int64_t attempt = 0;
   std::vector<std::uint8_t> result;  ///< sealed encode_worker_result image
   std::uint64_t events = 0;
   std::uint64_t sim_time_bits = 0;
-  std::uint64_t checkpoint_seq = 0;  ///< checkpoints this attempt
+  // kCheckpoint: bytes [offset, offset + chunk.size()) of a `total`-byte
+  // image
+  std::uint64_t offset = 0;
+  std::uint64_t total = 0;
+  std::vector<std::uint8_t> chunk;
 };
 
 std::vector<std::uint8_t> encode_hello_frame(const std::string& worker_name);
@@ -117,8 +125,40 @@ std::vector<std::uint8_t> encode_result_frame(std::uint64_t lease_id,
 std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
                                                  std::uint64_t spec,
                                                  std::uint64_t events,
-                                                 std::uint64_t sim_time_bits,
-                                                 std::uint64_t checkpoint_seq);
+                                                 std::uint64_t sim_time_bits);
+/// `image` as checkpoint frames of at most kCheckpointChunk bytes each,
+/// concatenated in order.
+std::vector<std::uint8_t> encode_checkpoint_frames(
+    std::uint64_t lease_id, std::uint64_t spec,
+    const std::vector<std::uint8_t>& image);
+
+/// The largest checkpoint image a link accepts; a 100k-node world's is
+/// about 100 MB.
+inline constexpr std::uint64_t kMaxCheckpointImage = 1ull << 30;
+
+/// Reassembles the chunked checkpoint image in flight on one link. A
+/// sender writes each image's frames back to back, so at most one image
+/// is partial at a time, and a link buffers at most kMaxCheckpointImage.
+class ImageParts {
+ public:
+  /// Appends checkpoint frame `f`'s chunk. Returns the whole image once
+  /// its last chunk arrived, unless its first chunk came with keep=false
+  /// (a lease that no longer holds the spec): such an image is followed
+  /// to its end but not buffered. Throws snapshot::SnapshotError naming
+  /// `context` for a chunk that does not continue the image in flight,
+  /// and for an image that is empty or over kMaxCheckpointImage.
+  std::optional<std::vector<std::uint8_t>> add(WireFrame&& f,
+                                               const std::string& context,
+                                               bool keep = true);
+
+ private:
+  std::uint64_t lease_ = 0;
+  std::uint64_t spec_ = 0;
+  std::uint64_t total_ = 0;
+  std::uint64_t got_ = 0;  ///< an image is in flight while got_ < total_
+  bool keep_ = false;
+  std::vector<std::uint8_t> buf_;
+};
 
 /// Tries to extract one complete frame from the front of `data`.
 /// Returns 0 when more bytes are needed, else the number of bytes
@@ -139,64 +179,10 @@ void check_hello(const WireFrame& f, const std::string& context);
 bool read_frame(int fd, std::vector<std::uint8_t>& buf,
                 const std::string& context, WireFrame* out);
 
-/// Retry/requeue policy the supervisor hands the dispatcher; mirrors
-/// the local supervision loop so a dispatched sweep makes the identical
-/// accept/retry/quarantine decisions.
-struct DispatchPolicy {
-  int max_retries = 2;          ///< simulation-failure retry budget
-  double retry_backoff_s = 0.05;
-  /// Transport losses (lost connection / expired lease) do not consume
-  /// the sim retry budget; they have their own generous bound so a
-  /// truly cursed spec still terminates.
-  int max_transport_requeues = 32;
-  const std::atomic<bool>* stop = nullptr;
-};
-
-/// Terminal + lifecycle callbacks out of the dispatcher event loop. All
-/// callbacks fire on the dispatcher's (single) thread, in spec index
-/// submission order for make_request and acceptance order otherwise.
-struct DispatchCallbacks {
-  /// Sealed worker-request image for (spec, attempt).
-  std::function<std::vector<std::uint8_t>(std::size_t, int)> make_request;
-  /// Spec granted under a lease; `attempt` is its sim attempt number.
-  std::function<void(std::size_t, int)> on_started;
-  /// Result accepted: spec completed on `attempt` with this decoded,
-  /// digest-validated result. First accepted result per spec wins.
-  std::function<void(std::size_t, int, WorkerResult&&)> on_completed;
-  /// Terminal failure: sim retry budget (or the transport requeue
-  /// bound) exhausted; `retries` and `detail` follow the local loop's
-  /// manifest conventions.
-  std::function<void(std::size_t, int, const std::string&)> on_quarantined;
-  /// External stop: spec will not run. `detail` is empty for a spec
-  /// that never started (callers substitute their "stopped before
-  /// start" convention).
-  std::function<void(std::size_t, const std::string&)> on_interrupted;
-  /// A sim-failure retry is scheduled: next attempt number + detail.
-  std::function<void(std::size_t, int, const std::string&)> on_retrying;
-  /// A batch was requeued after a transport loss (trace bookkeeping
-  /// only — transport losses do not touch manifest retries).
-  std::function<void(std::size_t, int, const std::string&)> on_requeued;
-  /// Heartbeat progress for a running spec: events, sim-time seconds.
-  std::function<void(std::size_t, std::uint64_t, double)> on_progress;
-  /// One human line (the "dispatch: listening on ..." announce).
-  std::function<void(const std::string&)> announce;
-};
-
-/// Runs the dispatcher event loop on the calling thread until every
-/// non-skipped spec is terminal (or stop is raised). `skip[i]` true
-/// marks spec i already terminal (resume carry-over) — it is never
-/// granted. Returns normally even when workers crash, hang or vanish;
-/// throws net::NetError only if the listener cannot bind.
-void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
-                        const DispatchOptions& opts,
-                        const DispatchPolicy& policy,
-                        telemetry::StatusBoard* board, DispatchCallbacks cb);
-
 /// Worker side: connect to a dispatcher and run the worker loop
-/// (run_worker_link, experiment/worker.hpp) over the connection. Specs
-/// run without checkpointing — fault recovery is the dispatcher's lease
-/// machinery. Returns a process exit code: 0 clean,
-/// kWorkerExitBadRequest on connect/protocol failure.
+/// (run_worker_link, experiment/worker.hpp) over the connection. Returns
+/// a process exit code: 0 clean, kWorkerExitBadRequest on
+/// connect/protocol failure.
 int run_dispatch_worker(const std::string& host, int port);
 
 }  // namespace dftmsn

@@ -11,9 +11,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -25,8 +27,10 @@
 #include <thread>
 #include <utility>
 
+#include "common/net_util.hpp"
 #include "common/thread_pool.hpp"
 #include "experiment/dispatch.hpp"
+#include "experiment/spec_queue.hpp"
 #include "experiment/worker.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/ckpt_container.hpp"
@@ -97,138 +101,40 @@ SpecRecord decode_spec_record(const std::vector<std::uint8_t>& payload,
   return r;
 }
 
-/// Per-spec supervision state shared between the thread running the spec
-/// and the watchdog and status-sampler threads. The atomics are the
-/// cross-thread surface; the trailing fields are watchdog-thread scratch.
-struct Slot {
-  /// The current attempt's progress: written by its simulator in-thread,
-  /// mirrored from heartbeats for a worker process.
-  std::atomic<std::uint64_t> progress{0};
-  std::atomic<std::uint64_t> sim_time_bits{0};
-  std::atomic<std::uint64_t> ckpt_seq{0};
-  std::atomic<bool> abort{false};
-  std::atomic<bool> active{false};
-  std::atomic<bool> watchdog_fired{false};
-  /// Process isolation: the spawned worker's pid while one is running
-  /// (-1 otherwise) — a hung or stopped worker cannot honor the abort
-  /// flag, so the watchdog SIGKILLs it instead.
-  std::atomic<long> child_pid{-1};
-
-  bool seen = false;
-  std::uint64_t last_progress = 0;
-  Clock::time_point last_change{};
-  /// Watchdog-thread scratch: last pid a SIGKILL was traced for, so the
-  /// repeated kill of one stubborn child logs a single sigkill event.
-  long last_killed_pid = -1;
-};
-
-/// The board's view of a completed spec, fresh or carried over by a
-/// resume.
-void board_done(telemetry::StatusBoard& board, std::size_t i,
-                const SpecRecord& rec, double horizon) {
-  board.update_progress(i, rec.result.events_executed, horizon);
-  board.sync_checkpoints(i, rec.checkpoints);
-  board.mark_done(i);
-  board.absorb_registry(rec.registry);
+double now_s() {
+  return std::chrono::duration<double>(Clock::now().time_since_epoch())
+      .count();
 }
 
-/// Lifecycle transitions of a spec, shared by the local retry loop and
-/// the dispatch callbacks: each updates the SpecRecord, the status board
-/// and the lifecycle trace together. The board and trace pointers are
-/// null when the observability plane is off.
-struct Obs {
-  telemetry::StatusBoard* board = nullptr;
-  telemetry::LifecycleTrace* trace = nullptr;
-
-  void running(std::size_t i, int attempt) const {
-    if (board) board->mark_running(i, attempt);
-    if (trace)
-      trace->begin(i, "attempt", {{"attempt", std::to_string(attempt)}});
-  }
-
-  /// The attempt replayed (or ran) the whole trajectory from event 0, so
-  /// its registry covers the full run: one merge, no double-counted
-  /// retry prefixes.
-  void completed(SpecRecord& rec, std::size_t i, int attempt,
-                 WorkerResult&& w, double horizon) const {
-    rec.status = SpecStatus::kCompleted;
-    rec.retries = attempt;
-    rec.detail.clear();
-    rec.result = w.result;
-    rec.registry.merge(w.registry);
-    if (board) board_done(*board, i, rec, horizon);
-    if (trace) trace->end(i, "attempt");
-  }
-
-  /// `attempt` is the next attempt's number.
-  void retrying(SpecRecord& rec, std::size_t i, int attempt,
-                const std::string& detail) const {
-    rec.retries = attempt;
-    rec.detail = detail;
-    if (board) board->mark_retrying(i, attempt, detail);
-    if (trace) {
-      trace->end(i, "attempt");
-      trace->instant(i, "retry",
-                     {{"attempt", std::to_string(attempt - 1)},
-                      {"reason", detail}});
-    }
-  }
-
-  void quarantined(SpecRecord& rec, std::size_t i, int attempt,
-                   const std::string& detail) const {
-    rec.status = SpecStatus::kQuarantined;
-    rec.retries = attempt;
-    rec.detail = detail;
-    if (board) board->mark_quarantined(i, detail);
-    if (trace) {
-      trace->end(i, "attempt");
-      trace->instant(i, "quarantine",
-                     {{"attempt", std::to_string(std::max(0, attempt - 1))},
-                      {"reason", detail}});
-    }
-  }
-
-  /// Empty `detail`: the spec was stopped between attempts, so it keeps
-  /// its last failure detail (or says it never started).
-  void interrupted(SpecRecord& rec, std::size_t i,
-                   const std::string& detail) const {
-    rec.status = SpecStatus::kInterrupted;
-    if (!detail.empty())
-      rec.detail = detail;
-    else if (rec.detail.empty())
-      rec.detail = "stopped before start";
-    if (board) {
-      board->sync_checkpoints(i, rec.checkpoints);
-      board->mark_interrupted(i, rec.detail);
-    }
-    if (trace) {
-      if (!detail.empty()) trace->end(i, "attempt");
-      trace->instant(i, "interrupted", {{"reason", rec.detail}});
-    }
-  }
-};
-
-/// Spawns `exe --worker 3` on a fresh socketpair whose other end goes to
-/// *link. Both ends are close-on-exec, and the child gets its end only
-/// through the dup2 onto descriptor 3: no sibling worker holds a copy, so
-/// the parent sees EOF the moment this worker dies. Returns the pid.
-pid_t spawn_worker(const std::string& exe, int* link) {
+/// A fresh socketpair, both ends close-on-exec: *parent gets one end,
+/// the other is returned.
+int link_pair(int* parent) {
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
     throw std::runtime_error(std::string("socketpair: ") +
                              std::strerror(errno));
-  if (sv[1] == kWorkerLinkFd) {
+  *parent = sv[0];
+  return sv[1];
+}
+
+/// Spawns `exe --worker 3` on a fresh socketpair whose other end goes to
+/// *link. The child gets its end only through the dup2 onto descriptor
+/// 3: no sibling worker holds a copy, so the parent sees EOF the moment
+/// this worker dies. Returns the pid.
+pid_t spawn_worker(const std::string& exe, int* link) {
+  int child = link_pair(link);
+  if (child == kWorkerLinkFd) {
     // dup2 onto itself would leave close-on-exec set.
-    const int moved = ::fcntl(sv[1], F_DUPFD_CLOEXEC, kWorkerLinkFd + 1);
-    ::close(sv[1]);
-    sv[1] = moved;
+    const int moved = ::fcntl(child, F_DUPFD_CLOEXEC, kWorkerLinkFd + 1);
+    ::close(child);
+    child = moved;
   }
-  int rc = sv[1] < 0 ? errno : 0;
+  int rc = child < 0 ? errno : 0;
   pid_t pid = -1;
   if (rc == 0) {
     posix_spawn_file_actions_t actions;
     ::posix_spawn_file_actions_init(&actions);
-    ::posix_spawn_file_actions_adddup2(&actions, sv[1], kWorkerLinkFd);
+    ::posix_spawn_file_actions_adddup2(&actions, child, kWorkerLinkFd);
     const std::string fd = std::to_string(kWorkerLinkFd);
     std::vector<char*> argv = {const_cast<char*>(exe.c_str()),
                                const_cast<char*>("--worker"),
@@ -236,199 +142,574 @@ pid_t spawn_worker(const std::string& exe, int* link) {
     rc = ::posix_spawn(&pid, exe.c_str(), &actions, nullptr, argv.data(),
                        environ);
     ::posix_spawn_file_actions_destroy(&actions);
-    ::close(sv[1]);
+    ::close(child);
   }
   if (rc != 0) {
-    ::close(sv[0]);
+    ::close(*link);
+    *link = -1;
     throw std::runtime_error("cannot spawn worker " + exe + ": " +
                              std::strerror(rc));
   }
-  *link = sv[0];
   return pid;
 }
 
-/// One attempt in a spawned worker process (`worker_exe --worker 3`)
-/// talking over a socketpair: the parent serves it one grant, mirrors its
-/// heartbeats into the slot's progress sinks, reaps it with waitpid and
-/// judges it by exit status + result-frame state.
-WorkerResult run_process_attempt(const WorkerRequest& req,
-                                 const SupervisorOptions& opts,
-                                 const AttemptSinks& sinks, Slot& slot,
-                                 const Obs& obs) {
-  WorkerResult res;
-  try {
-    GrantItem item;
-    item.spec = req.checkpoint_spec;
-    item.attempt = req.attempt;
-    item.request = encode_worker_request(req);
-    int link = -1;
-    const pid_t pid = spawn_worker(opts.worker_exe, &link);
+/// In-thread executors: a FIFO of attempts served by n-1 threads of its
+/// own plus the one that calls serve(). The sweep's calling thread is an
+/// executor so that a single-job sweep builds its world on the main
+/// thread's malloc arena, as a plain run does: on a thread arena a
+/// 100k-node world spent about 0.1 s more in the kernel.
+class Executors {
+ public:
+  explicit Executors(int n) {
+    for (int k = 1; k < n; ++k) threads_.emplace_back([this] { serve(); });
+  }
+  ~Executors() {
+    close();
+    for (std::thread& t : threads_) t.join();
+  }
+  Executors(const Executors&) = delete;
+  Executors& operator=(const Executors&) = delete;
 
-    slot.child_pid.store(pid);
-    slot.active.store(true);
-    if (obs.board) obs.board->mark_worker_spawn(item.spec);
-    if (obs.trace)
-      obs.trace->instant(item.spec, "worker_spawn",
-                         {{"pid", std::to_string(pid)},
-                          {"attempt", std::to_string(req.attempt)}});
-    // An abort that raced the pid publication (external stop between
-    // spawn and store) could not kill the child — honor it here. The
-    // symmetric watchdog-side race (pid read just before a worker exits
-    // and the pid is reused) is accepted: the window is one poll
-    // interval and the stray SIGKILL would need a same-pid recycle
-    // within it.
-    if (slot.abort.load()) ::kill(pid, SIGKILL);
+  void submit(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tasks_.push_back(std::move(task));
+    }
+    ready_.notify_one();
+  }
 
+  /// Runs tasks until close() was called and none is left. Tasks must
+  /// not throw.
+  void serve() {
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        ready_.wait(lock, [this] { return closed_ || !tasks_.empty(); });
+        if (tasks_.empty()) return;
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      }
+      task();
+    }
+  }
+
+  void close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    ready_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable ready_;
+  std::deque<std::function<void()>> tasks_;
+  bool closed_ = false;
+  std::vector<std::thread> threads_;
+};
+
+/// One end of a frame stream: a `--jobs` slot's socketpair or a TCP
+/// worker's connection.
+struct Link {
+  int fd = -1;
+  std::string name;               ///< from the hello; empty before it
+  std::vector<std::uint8_t> buf;  ///< received, not yet a whole frame
+  std::vector<std::uint8_t> out;  ///< to send, from byte `sent` on
+  std::size_t sent = 0;
+  ImageParts parts;
+  std::vector<std::uint64_t> leases;  ///< TCP: leases it may still hold
+};
+
+/// A `--jobs` slot: each attempt runs the worker loop (run_worker_link)
+/// on a fresh socketpair, on an executor thread or, under --isolate
+/// process, in a spawned `--worker` child.
+struct Slot {
+  Link link;
+  pid_t pid = -1;  ///< the worker process; -1 for an executor thread
+  bool busy = false;
+  std::uint64_t lease = 0;
+  std::size_t spec = 0;
+  std::atomic<bool> abort{false};  ///< an executor thread's lever
+  ResultFrameState frame = ResultFrameState::kMissing;
+  WorkerResult result;
+  std::string broken;  ///< why its stream was cut
+  bool killed = false;
+};
+
+/// The sweep's event loop, on the supervisor thread: drives the SpecQueue
+/// from its clients over one poll set — `--jobs` executor threads or
+/// spawned worker processes, plus TCP workers when dispatching. Every
+/// client speaks the same frames through the same path into the queue;
+/// only how a local attempt is aborted differs (a flag for a thread,
+/// SIGKILL for a process). The loop never blocks on a client: what a
+/// link cannot take now waits in Link::out until poll reports room.
+class Scheduler {
+ public:
+  Scheduler(const std::vector<RunSpec>& specs, const SupervisorOptions& opts,
+            SpecQueue& q, const Obs& obs)
+      : specs_(specs),
+        opts_(opts),
+        q_(q),
+        obs_(obs),
+        isolated_(opts.isolate == IsolationMode::kProcess) {
+    if (opts.dispatch.enabled()) {
+      listen_fd_ = net::listen_tcp(opts.dispatch.bind, opts.dispatch.port,
+                                   /*backlog=*/16);
+      const int port = net::bound_port(listen_fd_);
+      if (opts.dispatch.port_out != nullptr) opts.dispatch.port_out->store(port);
+      announce("dispatch: listening on " + opts.dispatch.bind + ":" +
+               std::to_string(port));
+      if (obs_.board) obs_.board->dispatch_enable();
+    }
+    if (opts.watchdog_secs > 0.0) local_lease_ = opts.watchdog_secs;
+    // Dispatch without process isolation stays remote-only: an in-thread
+    // segfault would take down the dispatcher the remote workers need.
+    const int local =
+        opts.dispatch.enabled() && !isolated_ ? 0 : resolve_jobs(opts.jobs);
+    for (int k = 0; k < local; ++k) slots_.push_back(std::make_unique<Slot>());
+    if (local > 0 && !isolated_) pool_ = std::make_unique<Executors>(local);
+  }
+
+  ~Scheduler() {
+    hang_up();
+    pool_.reset();  // joins the executors
+    for (auto& s : slots_) {
+      if (s->pid > 0) ::waitpid(s->pid, nullptr, 0);
+      if (s->link.fd >= 0) ::close(s->link.fd);
+    }
+    // Sweep over (or failed): tell every worker, even one still in the
+    // listen backlog, and give each a moment to hang up first, so none
+    // is reset before it reads that.
+    if (listen_fd_ >= 0) {
+      ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
+      for (int fd; (fd = accept4(listen_fd_, nullptr, nullptr,
+                                 SOCK_CLOEXEC)) >= 0;)
+        conns_[fd].fd = fd;
+      ::close(listen_fd_);
+    }
+    const auto bye = encode_nowork_frame(true);
+    for (auto& [fd, link] : conns_) {
+      // Not after a partly sent frame: it would arrive torn.
+      if (link.out.empty())
+        (void)!net::send_some(fd, bye.data(), bye.size());
+      ::shutdown(fd, SHUT_WR);
+      row(link, false);
+    }
+    for (const double end = now_s() + 1.0; !conns_.empty() && now_s() < end;) {
+      std::vector<pollfd> pfds;
+      for (const auto& [fd, link] : conns_) pfds.push_back({fd, POLLIN, 0});
+      net::poll_retry(pfds.data(), pfds.size(), /*timeout_ms=*/50);
+      std::uint8_t sink[4096];
+      for (const pollfd& p : pfds)
+        if (p.revents != 0 && net::recv_some(p.fd, sink, sizeof(sink)) <= 0) {
+          ::close(p.fd);
+          conns_.erase(p.fd);
+        }
+    }
+    for (const auto& [fd, link] : conns_) ::close(fd);
+  }
+
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+
+  /// Returns once every spec is terminal and no local attempt runs.
+  void run() {
+    if (!pool_) return loop();
+    // In-thread attempts: the caller serves as an executor while a helper
+    // thread runs the event loop.
+    std::exception_ptr failed;
+    std::thread events([this, &failed] {
+      try {
+        loop();
+      } catch (...) {
+        failed = std::current_exception();
+        hang_up();  // unblocks the executors, so serve() returns
+      }
+      pool_->close();
+    });
+    pool_->serve();
+    events.join();
+    if (failed) std::rethrow_exception(failed);
+  }
+
+ private:
+  void loop() {
+    // Each round reads what its clients sent before the queue consults
+    // the clock, so a lease never lapses on a heartbeat still unread.
+    for (int wait_ms = 0;; wait_ms = 50) {
+      poll_once(wait_ms);
+      const double now = now_s();
+      if (opts_.stop != nullptr && opts_.stop->load() && !q_.stopping())
+        for (const std::uint64_t lease : q_.stop()) abort(lease);
+      for (const std::uint64_t lease : q_.tick(now)) abort(lease);
+      std::vector<Granted> g;
+      for (auto& s : slots_) {
+        if (s->busy) continue;
+        // Idle local slots take the next ready specs.
+        const std::uint64_t lease =
+            q_.grant(ClientKind::kLocal, 1, local_lease_, now, &g);
+        if (lease != 0) start(*s, lease, g[0], now);
+      }
+      if (obs_.board && listen_fd_ >= 0)
+        obs_.board->dispatch_update(q_.counters());
+      if (q_.done() && busy_ == 0) return;
+    }
+  }
+
+  /// Ends every local attempt: SIGKILL for a process, the abort flag for
+  /// a thread, and a shut-down link for either.
+  void hang_up() {
+    for (auto& s : slots_) {
+      if (s->pid > 0) ::kill(s->pid, SIGKILL);
+      s->abort.store(true);
+      // An executor blocked on its link fails instead.
+      if (s->link.fd >= 0) ::shutdown(s->link.fd, SHUT_RDWR);
+    }
+  }
+
+  void announce(const std::string& line) const {
+    // Flushed eagerly: harnesses discover an ephemeral port by polling.
+    if (opts_.obs.announce) *opts_.obs.announce << line << std::endl;
+  }
+
+  /// The one request builder.
+  WorkerRequest request(const Granted& g) const {
+    WorkerRequest req;
+    req.config = specs_[g.spec].config;
+    req.kind = specs_[g.spec].kind;
+    req.attempt = g.attempt;
+    if (!opts_.checkpoint_dir.empty())
+      req.checkpoint_every_s = opts_.checkpoint_every_s;
+    req.verify_on_resume = opts_.verify_on_resume;
+    return req;
+  }
+
+  /// A grant as frames: each resume image, then the grant itself.
+  std::vector<std::uint8_t> grant_frames(std::uint64_t lease, double secs,
+                                         const std::vector<Granted>& g) const {
+    std::vector<std::uint8_t> out;
+    std::vector<GrantItem> items;
+    for (const Granted& x : g) {
+      if (x.image) {
+        const auto frames = encode_checkpoint_frames(lease, x.spec, *x.image);
+        out.insert(out.end(), frames.begin(), frames.end());
+      }
+      items.push_back({x.spec, x.attempt, encode_worker_request(request(x))});
+    }
+    const auto grant = encode_grant_frame(lease, secs, items);
+    out.insert(out.end(), grant.begin(), grant.end());
+    return out;
+  }
+
+  /// Queues `bytes` on link `l` and sends what the socket takes now.
+  static void send(Link& l, const std::vector<std::uint8_t>& bytes) {
+    l.out.insert(l.out.end(), bytes.begin(), bytes.end());
+    flush(l);
+  }
+
+  /// Sends what link `l` can take of its queued bytes without blocking.
+  /// Throws net::NetError when the peer is gone.
+  static void flush(Link& l) {
+    while (l.sent < l.out.size()) {
+      const ssize_t n = net::send_some(l.fd, l.out.data() + l.sent,
+                                       l.out.size() - l.sent);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (n < 0)
+        throw net::NetError(std::string("send: ") + std::strerror(errno));
+      l.sent += static_cast<std::size_t>(n);
+    }
+    l.out = {};  // a resume image's bytes are not kept for the next grant
+    l.sent = 0;
+  }
+
+  /// Starts slot `s`'s attempt of granted spec `g`: the worker loop on an
+  /// executor thread, or in a spawned worker process. The grant goes
+  /// first, then the word that the sweep is over for this worker: its
+  /// next request reads it.
+  void start(Slot& s, std::uint64_t lease, const Granted& g, double now) {
+    s.busy = true;
+    ++busy_;
+    s.lease = lease;
+    s.spec = g.spec;
+    s.link = Link();
+    s.killed = false;
+    s.frame = ResultFrameState::kMissing;
+    s.result = WorkerResult();
+    s.broken.clear();
+    s.abort.store(false);
+    try {
+      if (isolated_) {
+        s.pid = spawn_worker(opts_.worker_exe, &s.link.fd);
+      } else {
+        const int peer = link_pair(&s.link.fd);
+        pool_->submit([this, &s, peer] {
+          AttemptSinks local;
+          local.abort = &s.abort;
+          local.stop = opts_.stop;
+          local.stop_after_checkpoints = opts_.stop_after_checkpoints;
+          run_worker_link(peer, local);
+        });
+      }
+    } catch (const std::exception& e) {
+      WorkerResult res;
+      res.error = e.what();
+      return finish(s, std::move(res), now);
+    }
+    if (s.pid > 0) {
+      if (obs_.board) obs_.board->mark_worker_spawn(s.spec);
+      obs_.instant(s.spec, "worker_spawn",
+                   {{"pid", std::to_string(s.pid)},
+                    {"attempt", std::to_string(g.attempt)}});
+    }
     // Heartbeats every quarter watchdog window, so a live worker never
     // looks stalled; without a watchdog they only feed the status plane.
-    const double lease = opts.watchdog_secs > 0.0 ? opts.watchdog_secs : 1.0;
-    const ResultFrameState frame =
-        serve_worker_link(link, item, lease, sinks, &res);
-    ::close(link);
-
-    int status = 0;
-    pid_t waited = -1;
-    do {
-      waited = ::waitpid(pid, &status, 0);
-    } while (waited < 0 && errno == EINTR);
-    slot.active.store(false);
-    slot.child_pid.store(-1);
-    if (waited != pid)
-      throw std::runtime_error(std::string("waitpid: ") +
-                               std::strerror(errno));
-
-    // Checkpoint counts come only from decoded results; a SIGKILLed
-    // worker's partial writes are simply not counted.
-    if (frame != ResultFrameState::kOk && frame != ResultFrameState::kError)
-      res.checkpoints_written = 0;
-    const WorkerExitDecision verdict =
-        decode_worker_exit(status, frame, res.error);
-    res.ok = verdict.accept;
-    res.error = verdict.detail;
-    if (!res.ok && !slot.watchdog_fired.load() && opts.stop &&
-        opts.stop->load()) {
-      // External stop: the watchdog SIGKILLed the worker, so its last
-      // periodic checkpoint (no final one can be flushed) keeps the spec
-      // resumable.
-      res.interrupted = true;
-      res.error = "interrupted (worker stopped)";
-    }
-  } catch (const std::exception& e) {
-    slot.active.store(false);
-    slot.child_pid.store(-1);
-    res = WorkerResult();
-    res.error = e.what();
-  }
-  return res;
-}
-
-/// One spec through the retry/backoff/quarantine loop, each attempt in
-/// this thread or in a spawned worker process per opts.isolate.
-void run_spec(const RunSpec& spec, std::size_t index,
-              const SupervisorOptions& opts, Slot& slot, const Obs& obs,
-              SpecRecord& rec) {
-  const bool isolated = opts.isolate == IsolationMode::kProcess;
-  WorkerRequest req;
-  req.config = spec.config;
-  req.kind = spec.kind;
-  req.checkpoint_spec = index;
-  req.checkpoint_every_s = opts.checkpoint_every_s;
-  req.verify_on_resume = opts.verify_on_resume;
-  if (!opts.checkpoint_dir.empty())
-    req.checkpoint_path = checkpoint_container_path(opts.checkpoint_dir);
-
-  // In-thread, the last good checkpoint is kept in memory: a retry must
-  // not depend on re-reading an entry a torn write may have damaged. A
-  // worker process starts empty-handed each attempt, so there the
-  // container entry is the last good image — and a non-resume sweep must
-  // clear leftovers the in-thread path simply ignores.
-  std::vector<std::uint8_t> retained;
-  if (!req.checkpoint_path.empty()) {
+    auto frames = grant_frames(
+        lease, opts_.watchdog_secs > 0.0 ? opts_.watchdog_secs : 1.0, {g});
+    const auto bye = encode_nowork_frame(true);
+    frames.insert(frames.end(), bye.begin(), bye.end());
     try {
-      if (isolated && !opts.resume) {
-        snapshot::container_erase(req.checkpoint_path, index);
-      } else if (!isolated && opts.resume) {
-        auto entry = snapshot::container_get(req.checkpoint_path, index);
-        if (entry) retained = std::move(*entry);
-      }
-    } catch (const std::exception&) {
-      // Missing, torn or foreign: the spec starts from scratch (fsck owns
-      // the damage).
+      send(s.link, frames);
+    } catch (const net::NetError&) {
+      // The worker is already gone; its link's end says how.
     }
   }
 
-  AttemptSinks sinks;
-  sinks.events = &slot.progress;
-  sinks.sim_time_bits = &slot.sim_time_bits;
-  sinks.checkpoint_seq = &slot.ckpt_seq;
-  sinks.active = &slot.active;
-  sinks.abort = &slot.abort;
-  sinks.stop = opts.stop;
-  sinks.retained = &retained;
-  sinks.stop_after_checkpoints = opts.stop_after_checkpoints;
+  void finish(Slot& s, WorkerResult&& res, double now) {
+    s.busy = false;
+    --busy_;
+    q_.finish(s.spec, std::move(res), now);
+  }
 
-  for (int attempt = 0;;) {
-    if (opts.stop && opts.stop->load()) {
-      obs.interrupted(rec, index, "");
-      return;
+  /// The watchdog's or the stop's lever on a local attempt.
+  void abort(std::uint64_t lease) {
+    for (auto& s : slots_) {
+      if (!s->busy || s->lease != lease) continue;
+      s->abort.store(true);
+      kill(*s);
     }
-    req.attempt = attempt;
-    slot.watchdog_fired.store(false);
-    slot.abort.store(false);
-    slot.progress.store(0);
-    slot.sim_time_bits.store(0);
-    slot.ckpt_seq.store(0);
-    obs.running(index, attempt);
+  }
 
-    WorkerResult res = isolated
-                           ? run_process_attempt(req, opts, sinks, slot, obs)
-                           : execute_attempt(req, sinks);
-    rec.checkpoints += res.checkpoints_written;
-    if (!res.resume_rejected.empty()) {
-      const std::string why = sanitize(res.resume_rejected);
-      std::fprintf(stderr, "spec %zu: checkpoint not resumed (%s)\n", index,
-                   why.c_str());
-      if (obs.trace)
-        obs.trace->instant(index, "resume_rejected", {{"reason", why}});
+  /// A hung or stopped worker cannot honor an abort flag: SIGKILL is the
+  /// only lever the parent has.
+  void kill(Slot& s) {
+    if (s.pid <= 0) return;
+    ::kill(s.pid, SIGKILL);
+    if (s.killed) return;
+    s.killed = true;
+    if (obs_.board) obs_.board->mark_sigkill(s.spec);
+    obs_.instant(s.spec, "sigkill", {{"pid", std::to_string(s.pid)}});
+  }
+
+  /// Slot `s`'s link ended: the attempt is judged by the result frame it
+  /// sent and, for a worker process, by its exit status.
+  void reap(Slot& s, double now) {
+    ::close(s.link.fd);
+    s.link.fd = -1;
+    WorkerResult res = std::move(s.result);
+    int status = 0;
+    pid_t waited = 0;
+    if (s.pid > 0) {
+      do {
+        waited = ::waitpid(s.pid, &status, 0);
+      } while (waited < 0 && errno == EINTR);
+      s.pid = -1;
     }
-    if (res.ok) {
-      if (!req.checkpoint_path.empty()) {
+    if (waited < 0) {
+      res = WorkerResult();
+      res.error = std::string("waitpid: ") + std::strerror(errno);
+    } else if (!s.broken.empty()) {
+      res = WorkerResult();
+      res.error = "worker link: " + s.broken;
+    } else {
+      // An executor thread's loop ends like a worker process that exited
+      // 0; its abort flag, unlike a SIGKILL, lets it report first.
+      const WorkerExitDecision verdict =
+          decode_worker_exit(waited > 0 ? status : 0, s.frame, res.error);
+      res.ok = verdict.accept;
+      res.error = verdict.detail;
+    }
+    finish(s, std::move(res), now);
+  }
+
+  /// One frame after the hello from link `l`, whose other end is local
+  /// slot `s`, or a TCP worker when `s` is null.
+  void on_frame(Link& l, Slot* s, WireFrame&& f, const std::string& ctx,
+                double now) {
+    switch (f.type) {
+      case FrameType::kRequest: {
+        if (s != nullptr) break;  // a slot's grant is already on its way
+        std::vector<Granted> g;
+        const std::uint64_t lease = q_.grant(
+            ClientKind::kRemote,
+            static_cast<std::size_t>(std::max(1, opts_.dispatch.batch_size)),
+            opts_.dispatch.lease_secs, now, &g);
+        if (lease != 0) l.leases.push_back(lease);
+        send(l, lease != 0 ? grant_frames(lease, opts_.dispatch.lease_secs, g)
+                           : encode_nowork_frame(q_.done() || q_.stopping()));
+        break;
+      }
+      case FrameType::kResult: {
+        if (f.spec >= specs_.size() ||
+            (s != nullptr && (f.lease_id != s->lease || f.spec != s->spec)))
+          throw snapshot::SnapshotError(ctx + ": result for ungranted spec " +
+                                        std::to_string(f.spec));
+        WorkerResult res;
         try {
-          snapshot::container_erase(req.checkpoint_path, index);
-        } catch (const std::exception&) {
-          // The result is already accepted; a failed cleanup of the
-          // spent checkpoint entry must not turn into a retry.
+          res = decode_worker_result(f.result);
+        } catch (const std::exception& e) {
+          throw snapshot::SnapshotError(
+              ctx + ": undecodable result image for spec " +
+              std::to_string(f.spec) + ": " + e.what());
         }
+        if (s == nullptr) {
+          q_.finish(f.spec, std::move(res), now);
+        } else {
+          // A local attempt is judged once its link ends (reap).
+          s->frame =
+              res.ok ? ResultFrameState::kOk : ResultFrameState::kError;
+          s->result = std::move(res);
+        }
+        break;
       }
-      obs.completed(rec, index, attempt, std::move(res),
-                    spec.config.scenario.duration_s);
-      return;
+      case FrameType::kHeartbeat:
+        q_.heartbeat(f.lease_id, f.spec, f.events,
+                     bits_double(f.sim_time_bits), now);
+        break;
+      case FrameType::kCheckpoint: {
+        const std::uint64_t lease = f.lease_id;
+        const std::uint64_t spec = f.spec;
+        // An image from a lease that lost its spec is not buffered.
+        const bool keep = q_.holds(lease, spec);
+        if (auto image = l.parts.add(std::move(f), ctx, keep))
+          q_.checkpoint(lease, spec, std::move(*image));
+        break;
+      }
+      default:
+        throw snapshot::SnapshotError(
+            ctx + ": unexpected frame type " +
+            std::to_string(static_cast<int>(f.type)) + " from a worker");
     }
-    if (res.interrupted) {
-      obs.interrupted(rec, index, res.error);
-      return;
-    }
-
-    // A watchdog abort (or SIGKILL) surfaces as an ordinary failure; keep
-    // its own diagnosis inside the watchdog message.
-    std::string fail = res.error;
-    if (slot.watchdog_fired.load())
-      fail = "watchdog: no event progress for " +
-             std::to_string(opts.watchdog_secs) + "s wall (" + fail + ")";
-    const std::string detail =
-        sanitize("attempt " + std::to_string(attempt) + ": " + fail);
-    ++attempt;
-    if (attempt > opts.max_retries) {
-      obs.quarantined(rec, index, attempt, detail);
-      return;
-    }
-    obs.retrying(rec, index, attempt, detail);
-    const double backoff = std::min(
-        5.0, opts.retry_backoff_s * std::pow(2.0, attempt - 1));
-    if (backoff > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+    if (s == nullptr) row(l, true);
   }
-}
+
+  /// Services link `l` after poll reported `revents` on it: sends what it
+  /// can of its queued bytes, reads, and handles every whole frame. A
+  /// local attempt is judged when its link ends; a TCP worker's
+  /// connection is dropped, its leases lost.
+  void on_link(Link& l, Slot* s, short revents, double now) {
+    ssize_t got = 1;  // nothing read is not an end of stream
+    if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      std::uint8_t chunk[64 * 1024];
+      got = net::recv_some(l.fd, chunk, sizeof(chunk));
+      if (got > 0) l.buf.insert(l.buf.end(), chunk, chunk + got);
+    }
+    const std::string ctx =
+        s != nullptr ? "worker link"
+                     : "dispatch connection '" +
+                           (l.name.empty() ? "fd" + std::to_string(l.fd)
+                                           : l.name) + "'";
+    try {
+      flush(l);
+      for (;;) {
+        WireFrame f;
+        const std::size_t used =
+            try_extract_frame(l.buf.data(), l.buf.size(), ctx, &f);
+        if (used == 0) break;
+        l.buf.erase(l.buf.begin(),
+                    l.buf.begin() + static_cast<std::ptrdiff_t>(used));
+        if (!l.name.empty()) {
+          on_frame(l, s, std::move(f), ctx, now);
+          continue;
+        }
+        check_hello(f, ctx);
+        l.name = f.worker_name.empty() ? "fd" + std::to_string(l.fd)
+                                       : sanitize(f.worker_name);
+      }
+    } catch (const net::NetError& e) {
+      // Gone mid-write; a worker process's exit status says how.
+      return s != nullptr ? reap(*s, now) : drop(l.fd, e.what(), now);
+    } catch (const std::exception& e) {
+      if (s != nullptr && s->pid < 0) throw;  // an executor's own frames
+      // Torn/corrupt/hostile frame: named rejection, link dropped,
+      // leases requeued. Never a crash, never a wrong accept.
+      if (s != nullptr) {
+        s->broken = e.what();
+        kill(*s);
+        return reap(*s, now);
+      }
+      announce(std::string("dispatch: dropping connection: ") + e.what());
+      return drop(l.fd, e.what(), now);
+    }
+    if (got <= 0)
+      return s != nullptr ? reap(*s, now)
+                          : drop(l.fd, "connection closed", now);
+  }
+
+  void drop(int fd, const std::string& why, double now) {
+    Link& l = conns_.at(fd);
+    row(l, false);
+    for (const std::uint64_t lease : l.leases) q_.lost(lease, why, now);
+    ::close(fd);
+    conns_.erase(fd);
+  }
+
+  /// The status board's row for a TCP worker. Forgets the leases the
+  /// queue no longer counts, so a long-lived connection keeps only live
+  /// ones.
+  void row(Link& l, bool connected) const {
+    l.leases.erase(std::remove_if(l.leases.begin(), l.leases.end(),
+                                  [this](std::uint64_t lease) {
+                                    return q_.held(lease) == 0;
+                                  }),
+                   l.leases.end());
+    if (obs_.board == nullptr || l.name.empty()) return;
+    std::uint64_t active = 0;
+    for (const std::uint64_t lease : l.leases) active += q_.held(lease);
+    obs_.board->dispatch_worker(l.name, connected, connected ? active : 0);
+  }
+
+  void poll_once(int timeout_ms) {
+    std::vector<pollfd> pfds;
+    const auto want = [&pfds](const Link& l) {
+      pfds.push_back({l.fd, static_cast<short>(
+                                POLLIN | (l.out.empty() ? 0 : POLLOUT)),
+                      0});
+    };
+    if (listen_fd_ >= 0) pfds.push_back({listen_fd_, POLLIN, 0});
+    for (const auto& s : slots_)
+      if (s->busy && s->link.fd >= 0) want(s->link);
+    for (const auto& [fd, link] : conns_) want(link);
+    net::poll_retry(pfds.data(), pfds.size(), timeout_ms);
+    const double now = now_s();
+    for (const pollfd& p : pfds) {
+      if (p.revents == 0) continue;
+      if (p.fd == listen_fd_) {
+        const int fd = net::accept_retry(listen_fd_);
+        if (fd >= 0) conns_[fd].fd = fd;
+      } else if (conns_.count(p.fd) != 0) {
+        on_link(conns_.at(p.fd), nullptr, p.revents, now);
+      } else {
+        for (auto& s : slots_)
+          if (s->busy && s->link.fd == p.fd)
+            on_link(s->link, s.get(), p.revents, now);
+      }
+    }
+  }
+
+  const std::vector<RunSpec>& specs_;
+  const SupervisorOptions& opts_;
+  SpecQueue& q_;
+  const Obs& obs_;
+  const bool isolated_;
+  double local_lease_ = SpecQueue::kForever;
+  int busy_ = 0;  ///< local attempts running
+  int listen_fd_ = -1;
+  std::map<int, Link> conns_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::unique_ptr<Executors> pool_;  // after the slots its tasks touch
+};
 
 }  // namespace
 
@@ -516,15 +797,12 @@ bool load_manifest(const std::string& path, SweepManifest* out) {
 StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
                                const SupervisorOptions& opts,
                                const SpecSink& sink) {
-  const bool dispatched = opts.dispatch.enabled();
-  if (dispatched && opts.isolate == IsolationMode::kProcess)
-    throw std::runtime_error(
-        "supervisor: dispatch mode runs specs on connected workers; "
-        "process isolation is incompatible with --dispatch-port");
-
   std::vector<std::uint64_t> digests(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i)
+  std::vector<double> horizons(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     digests[i] = config_digest(specs[i].config, specs[i].kind);
+    horizons[i] = specs[i].config.scenario.duration_s;
+  }
 
   const bool use_dir = !opts.checkpoint_dir.empty();
   if (use_dir) std::filesystem::create_directories(opts.checkpoint_dir);
@@ -533,12 +811,11 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
         "supervisor: process isolation needs a worker executable");
 
   // Per-spec seed records. `carried[i]` starts as a fresh record holding
-  // only the config digest; a resume fills in carried-over completions
-  // (skip[i] = 1), which skip execution and re-emit through the reorder
-  // buffer. Everything else reruns with a fresh retry budget (its
-  // checkpoint, if any, is picked up by the worker).
+  // only the config digest; a resume fills in carried-over completions,
+  // which skip execution and re-emit through the reorder buffer.
+  // Everything else reruns with a fresh retry budget, from its
+  // checkpoint if the container holds one.
   std::vector<SpecRecord> carried(specs.size());
-  std::vector<char> skip(specs.size(), 0);
   for (std::size_t i = 0; i < specs.size(); ++i)
     carried[i].config_digest = digests[i];
   if (opts.resume && use_dir) {
@@ -565,10 +842,8 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
               "supervisor: manifest was written by a different sweep "
               "(config digest mismatch at spec " + std::to_string(i) +
               ") — refusing to resume");
-        if (prev.specs[i].status == SpecStatus::kCompleted) {
+        if (prev.specs[i].status == SpecStatus::kCompleted)
           carried[i] = std::move(prev.specs[i]);
-          skip[i] = 1;
-        }
       }
     }
   }
@@ -586,35 +861,9 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     write_manifest(mpath, scaffold);
   }
 
-  // Index-order reorder buffer: terminal records publish in completion
-  // order but emit (manifest append + sink) in strict spec-index order,
-  // so manifest bytes are identical at every jobs value and downstream
-  // aggregation can fold incrementally. Peak memory is the out-of-order
-  // window, not the whole sweep.
-  StreamStats stats;
-  std::mutex emit_mu;
-  std::map<std::size_t, SpecRecord> buffered;
-  std::size_t next_emit = 0;
-  const auto publish = [&](std::size_t i, SpecRecord&& rec) {
-    std::lock_guard<std::mutex> lock(emit_mu);
-    buffered.emplace(i, std::move(rec));
-    stats.peak_buffered = std::max(stats.peak_buffered, buffered.size());
-    for (auto it = buffered.find(next_emit); it != buffered.end();
-         it = buffered.find(next_emit)) {
-      if (use_dir)
-        snapshot::container_put(mpath, next_emit,
-                                encode_spec_record(it->second, specs.size()));
-      if (sink) sink(next_emit, std::move(it->second));
-      buffered.erase(it);
-      ++next_emit;
-    }
-  };
-
-  std::vector<Slot> slots(specs.size());
-
   // --- observability plane (purely observational; see supervisor.hpp).
   // Declaration order matters: the server thread reads the board and is
-  // a member declared last, so it is destroyed (and joined) first.
+  // declared last, so it is destroyed (and joined) first.
   std::unique_ptr<telemetry::StatusBoard> board;
   std::unique_ptr<telemetry::LifecycleTrace> ltrace;
   std::unique_ptr<telemetry::StatusServer> server;
@@ -630,15 +879,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
       std::filesystem::create_directories(status_dir);
     }
     board = std::make_unique<telemetry::StatusBoard>();
-    std::vector<double> horizons(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      horizons[i] = specs[i].config.scenario.duration_s;
     board->reset(specs.size(), horizons);
-    // Resume carry-over: completed specs never re-run, so the board
-    // learns about them here or never.
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      if (carried[i].status == SpecStatus::kCompleted)
-        board_done(*board, i, carried[i], horizons[i]);
     if (!opts.obs.trace_path.empty())
       ltrace = std::make_unique<telemetry::LifecycleTrace>(opts.obs.trace_path);
     if (opts.obs.status_port >= 0) {
@@ -658,105 +899,20 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   }
   const Obs obs{board.get(), ltrace.get()};
 
-  std::atomic<bool> watchdog_quit{false};
-  std::thread watchdog;
-  // Dispatch mode has no slots to watch and no children to kill: lease
-  // expiry is its hang detector, and the dispatcher polls opts.stop
-  // itself.
-  if (!dispatched && (opts.watchdog_secs > 0.0 || opts.stop)) {
-    const auto poll = std::chrono::duration<double>(
-        opts.watchdog_secs > 0.0
-            ? std::clamp(opts.watchdog_secs / 4.0, 0.01, 0.25)
-            : 0.05);
-    // `poll` by value: this block's scope ends while the thread runs.
-    watchdog = std::thread([&, poll] {
-      while (!watchdog_quit.load()) {
-        const bool ext = opts.stop && opts.stop->load();
-        const Clock::time_point now = Clock::now();
-        for (std::size_t si = 0; si < slots.size(); ++si) {
-          Slot& s = slots[si];
-          // An isolated worker cannot observe the abort flag — SIGKILL
-          // is the only lever the parent has on a hung or stopped child.
-          // Repeated kills of one stubborn pid trace a single sigkill.
-          const auto kill_child = [&s, si, &obs] {
-            const long pid = s.child_pid.load();
-            if (pid <= 0) return;
-            ::kill(static_cast<pid_t>(pid), SIGKILL);
-            if (pid == s.last_killed_pid) return;
-            s.last_killed_pid = pid;
-            if (obs.board) obs.board->mark_sigkill(si);
-            if (obs.trace)
-              obs.trace->instant(si, "sigkill",
-                                 {{"pid", std::to_string(pid)}});
-          };
-          if (ext) {
-            s.abort.store(true);
-            kill_child();
-            continue;
-          }
-          if (!s.active.load()) {
-            s.seen = false;
-            continue;
-          }
-          if (opts.watchdog_secs <= 0.0) continue;
-          const std::uint64_t p = s.progress.load();
-          if (!s.seen || p != s.last_progress) {
-            s.seen = true;
-            s.last_progress = p;
-            s.last_change = now;
-            continue;
-          }
-          if (std::chrono::duration<double>(now - s.last_change).count() >
-              opts.watchdog_secs) {
-            // exchange() gives the trip *edge*: the flag is re-armed by
-            // the runner at each attempt start, so one stall counts once
-            // no matter how many polls see it.
-            if (!s.watchdog_fired.exchange(true)) {
-              if (obs.board) obs.board->mark_watchdog(si);
-              if (obs.trace)
-                obs.trace->instant(
-                    si, "watchdog",
-                    {{"stalled_s", std::to_string(opts.watchdog_secs)}});
-            }
-            s.abort.store(true);
-            kill_child();
-          }
-        }
-        std::this_thread::sleep_for(poll);
-      }
-    });
-  }
-
-  // Status sampling thread: mirrors live progress counters (the same
-  // ones the watchdog reads) onto the board, recomputes EMA/ETA, and
-  // atomically rewrites status.json on its cadence. Read-only with
-  // respect to the sweep.
+  // Status sampling thread: recomputes EMA/ETA from the progress the
+  // scheduler posts on the board, and atomically rewrites status.json on
+  // its cadence. Read-only with respect to the sweep.
   std::atomic<bool> status_quit{false};
   std::thread status_thread;
   if (board) {
     status_thread = std::thread([&] {
       const Clock::time_point t0 = Clock::now();
-      std::vector<std::uint64_t> last_seq(specs.size(), 0);
       double next_write = 0.0;  // first rewrite happens immediately
       const double period = opts.obs.status_every_s;
       const auto poll = std::chrono::duration<double>(
           period > 0.0 ? std::clamp(period / 2.0, 0.01, 0.25) : 0.25);
       for (;;) {
         const bool quitting = status_quit.load();
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-          Slot& s = slots[i];
-          if (!s.active.load()) continue;
-          const std::uint64_t seq = s.ckpt_seq.load();
-          board->update_progress(i, s.progress.load(),
-                                 bits_double(s.sim_time_bits.load()));
-          if (seq > last_seq[i]) {
-            board->mark_checkpoint(i, seq - last_seq[i]);
-            if (obs.trace)
-              obs.trace->instant(i, "checkpoint",
-                                 {{"seq", std::to_string(seq)}});
-          }
-          last_seq[i] = seq;  // retries reset the sequence; track down too
-        }
         const double wall =
             std::chrono::duration<double>(Clock::now() - t0).count();
         board->sample(wall);
@@ -777,88 +933,120 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     });
   }
 
-  // Seed carried-over completions into the reorder buffer: they emit
-  // (in index order) without re-running.
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    if (skip[i]) publish(i, SpecRecord(carried[i]));
-
-  const auto join_threads = [&] {
-    status_quit.store(true);
-    if (status_thread.joinable()) status_thread.join();
-    watchdog_quit.store(true);
-    if (watchdog.joinable()) watchdog.join();
+  // Index-order reorder buffer, run on the writer thread: terminal
+  // records publish in completion order but emit (manifest put + sink) in
+  // strict spec-index order, so manifest bytes are identical at every
+  // jobs value and downstream aggregation can fold incrementally. Peak
+  // memory is the out-of-order window, not the whole sweep.
+  StreamStats stats;
+  std::map<std::size_t, SpecRecord> buffered;
+  std::size_t next_emit = 0;
+  const auto emit = [&](std::size_t i, SpecRecord&& rec) {
+    buffered.emplace(i, std::move(rec));
+    stats.peak_buffered = std::max(stats.peak_buffered, buffered.size());
+    for (auto it = buffered.find(next_emit); it != buffered.end();
+         it = buffered.find(next_emit)) {
+      if (use_dir)
+        snapshot::container_put(mpath, next_emit,
+                                encode_spec_record(it->second, specs.size()));
+      if (sink) sink(next_emit, std::move(it->second));
+      buffered.erase(it);
+      ++next_emit;
+    }
   };
 
-  try {
-    if (dispatched) {
-      // The dispatcher event loop drives the same lifecycle the local
-      // loops do, through callbacks that mirror their manifest/board/
-      // trace conventions exactly — a clean dispatched sweep is
-      // byte-identical to an in-process one.
-      DispatchPolicy policy;
-      policy.max_retries = opts.max_retries;
-      policy.retry_backoff_s = opts.retry_backoff_s;
-      policy.stop = opts.stop;
-
-      DispatchCallbacks cb;
-      cb.make_request = [&](std::size_t i, int attempt) {
-        WorkerRequest req;
-        req.config = specs[i].config;
-        req.kind = specs[i].kind;
-        req.attempt = attempt;
-        req.verify_on_resume = opts.verify_on_resume;
-        return encode_worker_request(req);
-      };
-      cb.on_started = [&](std::size_t i, int attempt) {
-        obs.running(i, attempt);
-      };
-      cb.on_completed = [&](std::size_t i, int attempt, WorkerResult&& w) {
-        obs.completed(carried[i], i, attempt, std::move(w),
-                      specs[i].config.scenario.duration_s);
-        publish(i, std::move(carried[i]));
-      };
-      cb.on_quarantined = [&](std::size_t i, int attempt,
-                              const std::string& detail) {
-        obs.quarantined(carried[i], i, attempt, detail);
-        publish(i, std::move(carried[i]));
-      };
-      cb.on_interrupted = [&](std::size_t i, const std::string& detail) {
-        obs.interrupted(carried[i], i, detail);
-        publish(i, std::move(carried[i]));
-      };
-      cb.on_retrying = [&](std::size_t i, int attempt,
-                           const std::string& detail) {
-        obs.retrying(carried[i], i, attempt, detail);
-      };
-      cb.on_requeued = [&](std::size_t i, int count,
-                           const std::string& reason) {
-        if (obs.trace)
-          obs.trace->instant(i, "requeue",
-                             {{"count", std::to_string(count)},
-                              {"reason", sanitize(reason)}});
-      };
-      cb.on_progress = [&](std::size_t i, std::uint64_t events, double t) {
-        if (obs.board) obs.board->update_progress(i, events, t);
-      };
-      cb.announce = [&](const std::string& line) {
-        if (opts.obs.announce) *opts.obs.announce << line << std::endl;
-      };
-      run_dispatch_queue(specs.size(), skip, opts.dispatch, policy,
-                         board.get(), std::move(cb));
-    } else {
-      parallel_for(specs.size(), resolve_jobs(opts.jobs), [&](std::size_t i) {
-        if (skip[i]) return;  // resumed as done, already seeded
-        SpecRecord rec = carried[i];
-        run_spec(specs[i], i, opts, slots[i], obs, rec);
-        publish(i, std::move(rec));
+  // Only this process writes checkpoints.dcc, from the writer thread. It
+  // is read on --resume alone, once per spec, when the spec is first
+  // granted. A finished sweep leaves no container behind. An image waits
+  // for the writer in `unwritten`, where a newer one of its spec replaces
+  // it: a disk slower than the images costs superseded puts, not memory.
+  const std::string cpath =
+      use_dir ? checkpoint_container_path(opts.checkpoint_dir) : "";
+  std::mutex unwritten_mu;
+  std::map<std::size_t, Image> unwritten;
+  ThreadPool writer(1);  // after what its tasks touch
+  ImageStore store;
+  if (use_dir) {
+    store.put = [&](std::size_t i, const Image& image) {
+      {
+        std::lock_guard<std::mutex> lock(unwritten_mu);
+        Image& slot = unwritten[i];
+        const bool queued = slot != nullptr;
+        slot = image;
+        if (queued) return;
+      }
+      writer.submit([&, i] {
+        Image newest;
+        {
+          std::lock_guard<std::mutex> lock(unwritten_mu);
+          const auto it = unwritten.find(i);
+          if (it == unwritten.end()) return;  // the spec completed first
+          newest = std::move(it->second);
+          unwritten.erase(it);
+        }
+        try {
+          snapshot::container_put(cpath, i, *newest);
+        } catch (const snapshot::SnapshotError& e) {
+          // The in-memory image still serves retries; only a later
+          // --resume loses this one.
+          std::fprintf(stderr, "spec %zu: checkpoint not saved (%s)\n", i,
+                       sanitize(e.what()).c_str());
+        }
       });
-    }
-  } catch (...) {
-    join_threads();
-    throw;
+    };
+    store.erase = [&](std::size_t i) {
+      {
+        std::lock_guard<std::mutex> lock(unwritten_mu);
+        unwritten.erase(i);
+      }
+      writer.submit([&cpath, i] {
+        try {
+          if (snapshot::container_erase(cpath, i) == 0)
+            std::filesystem::remove(cpath);
+        } catch (const std::exception&) {
+          // The result is already accepted; a failed cleanup of the
+          // spent entry must not fail the sweep.
+        }
+      });
+    };
+    if (opts.resume)
+      store.load = [&](std::size_t i) -> Image {
+        try {
+          if (auto entry = snapshot::container_get(cpath, i))
+            return std::make_shared<const std::vector<std::uint8_t>>(
+                std::move(*entry));
+        } catch (const std::exception&) {
+          // Missing, torn or foreign: the spec starts from scratch (fsck
+          // owns the damage).
+        }
+        return nullptr;
+      };
   }
 
-  join_threads();
+  const auto join_status = [&] {
+    status_quit.store(true);
+    if (status_thread.joinable()) status_thread.join();
+  };
+  try {
+    RetryPolicy policy;
+    policy.max_retries = opts.max_retries;
+    policy.retry_backoff_s = opts.retry_backoff_s;
+    policy.watchdog_secs = opts.watchdog_secs;
+    SpecQueue queue(
+        std::move(carried), horizons, policy, obs,
+        [&](std::size_t i, SpecRecord&& rec) {
+          writer.submit([&emit, i, rec = std::move(rec)]() mutable {
+            emit(i, std::move(rec));
+          });
+        },
+        store);
+    Scheduler(specs, opts, queue, obs).run();
+    writer.wait_idle();  // rethrows a failed manifest put
+  } catch (...) {
+    join_status();
+    throw;
+  }
+  join_status();
   return stats;
 }
 

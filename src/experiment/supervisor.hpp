@@ -5,35 +5,37 @@
 // and graceful partial aggregation of whatever did complete.
 //
 // Determinism contract: supervision never changes a replication's
-// trajectory. Checkpoints are written from, not fed back into, the
-// running world; a retried replication bumps only Config::faults.attempt
-// (an internal knob that gates `attempts=`-qualified fault events without
+// trajectory. Checkpoints are taken from, not fed back into, the running
+// world; a retried replication bumps only Config::faults.attempt (an
+// internal knob that gates `attempts=`-qualified fault events without
 // perturbing the event or random streams); and every resume is
 // byte-verified against the checkpoint it came from. A sweep that needed
 // three retries therefore reports the same numbers as one that needed
-// none — and the same numbers at every --jobs value.
+// none — at every --jobs value and in every execution mode.
+//
+// One scheduler (experiment/spec_queue.hpp) leases every spec to its
+// clients: --jobs in-thread executors; or, under IsolationMode::kProcess,
+// --jobs spawned `--worker` children, one per attempt; plus, with
+// dispatch enabled, TCP `--connect` workers. All run the one worker
+// loop (experiment/worker.hpp) and report in the same frames; checkpoint
+// images come back to the supervisor, which alone writes checkpoints.dcc
+// and grants a retried or requeued spec with its last image.
 //
 // Failure taxonomy:
 //   - SimulatedCrash / InvariantViolation / any std::exception out of a
-//     replication -> retry from the last good checkpoint (or from
-//     scratch), at most max_retries times, then quarantine.
+//     replication, or a worker process dying by signal -> retry from the
+//     last good checkpoint (or from scratch), at most max_retries times,
+//     then quarantine.
 //   - watchdog trip (no executed-event progress for watchdog_secs of
 //     wall time) -> cooperative abort via the simulator's abort flag
-//     (reaches even a mid-event `hang` fault), then same retry path.
-//   - external stop (SIGINT/SIGTERM flag) -> flush one final checkpoint
-//     at the clean event boundary the abort left us on, mark the
-//     replication interrupted, and keep the manifest resumable.
-//
-// With IsolationMode::kProcess the same taxonomy applies across a
-// process boundary. Every attempt runs through the one attempt executor
-// (experiment/worker.hpp), in this thread or in a spawned `--worker`
-// child that talks to the parent over a socketpair in the dispatch wire
-// frames: one grant, heartbeats that the parent mirrors into the slot
-// its watchdog and status sampler read, one result. A worker that dies
-// by signal (segfault, abort, OOM kill) or reports an error is retried
-// from the spec's on-disk checkpoint, and a hung or stopped worker is
-// SIGKILLed by the watchdog instead of cooperatively aborted. Both modes
-// share one retry/backoff/quarantine loop.
+//     (reaches even a mid-event `hang` fault), or SIGKILL for a worker
+//     process, then the same retry path.
+//   - a lost TCP worker (lease expired, connection dropped) -> requeue
+//     without charging the retry budget.
+//   - external stop (SIGINT/SIGTERM flag) -> an in-thread replication
+//     flushes one final checkpoint at the clean event boundary the abort
+//     left it on; every unfinished replication ends interrupted and the
+//     manifest stays resumable.
 #pragma once
 
 #include <atomic>
@@ -127,9 +129,10 @@ struct SupervisorOptions {
   /// Live status/health/trace plane (purely observational).
   ObservabilityOptions obs;
   /// Lease-based TCP dispatch (experiment/dispatch.hpp). When enabled,
-  /// specs run on connected pull-mode workers instead of pool threads;
-  /// incompatible with IsolationMode::kProcess. Clean dispatched sweeps
-  /// produce manifests and reports byte-identical to in-process runs.
+  /// specs also run on connected pull-mode workers; no pool threads run
+  /// them unless isolate == kProcess adds --jobs local worker processes.
+  /// Clean dispatched sweeps produce manifests and reports byte-identical
+  /// to in-process runs.
   DispatchOptions dispatch;
 };
 
@@ -187,8 +190,9 @@ struct StreamStats {
 /// spec-index order (a reorder buffer holds out-of-order completions).
 using SpecSink = std::function<void(std::size_t, SpecRecord&&)>;
 
-/// Streaming core of supervised execution: runs every spec (thread pool,
-/// process isolation, or the dispatch queue per opts), puts each terminal
+/// Streaming core of supervised execution: runs every spec through the
+/// one scheduler (in-thread, worker processes and/or TCP workers per
+/// opts), puts each terminal
 /// record into checkpoint_dir/manifest.dcc as it is emitted (one durable
 /// container_put per record, over the all-pending scaffold write_manifest
 /// laid down first), and hands it to `sink` instead of accumulating a

@@ -30,8 +30,6 @@ std::vector<std::uint8_t> encode_worker_request(const WorkerRequest& req) {
   save_config_exact(req.config, w);
   w.u32(static_cast<std::uint32_t>(req.kind));
   w.i64(req.attempt);
-  w.str(req.checkpoint_path);
-  w.u64(req.checkpoint_spec);
   w.f64(req.checkpoint_every_s);
   w.boolean(req.verify_on_resume);
   w.end_section();
@@ -46,8 +44,6 @@ WorkerRequest decode_worker_request(const std::vector<std::uint8_t>& image) {
   load_config_exact(req.config, rd);
   req.kind = static_cast<ProtocolKind>(rd.u32());
   req.attempt = static_cast<int>(rd.i64());
-  req.checkpoint_path = rd.str();
-  req.checkpoint_spec = rd.u64();
   req.checkpoint_every_s = rd.f64();
   req.verify_on_resume = rd.boolean();
   rd.end_section();
@@ -59,10 +55,10 @@ std::vector<std::uint8_t> encode_worker_result(const WorkerResult& res) {
   w.u32(kWorkerProtocolVersion);
   w.begin_section("result");
   w.u8(res.ok ? 0 : 1);
+  w.boolean(res.interrupted);
   w.str(res.error);
   w.str(res.resume_rejected);
   save_run_result(res.result, w);
-  w.u64(res.checkpoints_written);
   res.registry.save_state(w);
   w.end_section();
   return snapshot::seal_container(kResultMagic, w.bytes());
@@ -74,10 +70,10 @@ WorkerResult decode_worker_result(const std::vector<std::uint8_t>& image) {
   WorkerResult res;
   rd.begin_section("result");
   res.ok = rd.u8() == 0;
+  res.interrupted = rd.boolean();
   res.error = rd.str();
   res.resume_rejected = rd.str();
   load_run_result(res.result, rd);
-  res.checkpoints_written = rd.u64();
   res.registry.load_state(rd);
   rd.end_section();
   return res;
@@ -110,8 +106,6 @@ WorkerExitDecision decode_worker_exit(int wait_status, ResultFrameState frame,
           return {true, ""};
         case ResultFrameState::kMissing:
           return {false, "worker exited 0 but sent no result frame"};
-        case ResultFrameState::kCorrupt:
-          return {false, "worker exited 0 but its result frame is corrupt"};
         case ResultFrameState::kError:
           return {false, reported_error.empty()
                              ? "worker exited 0 with an error result"

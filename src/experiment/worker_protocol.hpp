@@ -3,8 +3,10 @@
 //
 // A request image carries the full Config (bit-exact encoding, see
 // save_config_exact), the protocol kind, the attempt number and the
-// checkpoint entry the attempt owns; a result image carries either the
-// finished RunResult plus its telemetry registry, or a structured error.
+// checkpoint cadence; a result image carries either the finished
+// RunResult plus its telemetry registry, or a structured error. The
+// checkpoint images an attempt resumes from and writes cross the link as
+// their own frames (experiment/dispatch.hpp); workers never touch files.
 // Both are sealed containers (8-byte magic + payload + trailing FNV-1a
 // digest, see seal_container), so a torn or tampered image fails
 // validation loudly instead of feeding the parent garbage.
@@ -28,10 +30,12 @@
 
 namespace dftmsn {
 
-/// Version of the sealed images and of the hello frame. v4 dropped the
-/// request's result/progress file paths (workers report over their link)
-/// and added the checkpoint sequence to heartbeats.
-inline constexpr std::uint32_t kWorkerProtocolVersion = 4;
+/// Version of the sealed images and of the hello frame. v5 dropped the
+/// request's checkpoint container path and entry (checkpoint images cross
+/// the link as checkpoint frames), the result's checkpoint count and the
+/// heartbeat's checkpoint sequence (the supervisor counts the images it
+/// receives).
+inline constexpr std::uint32_t kWorkerProtocolVersion = 5;
 
 // Worker process exit codes; 0/2 line up with the CLI's own ok/usage
 // codes. A simulation failure is reported inside the result frame, not
@@ -44,10 +48,7 @@ struct WorkerRequest {
   Config config;
   ProtocolKind kind = ProtocolKind::kOpt;
   int attempt = 0;  ///< gates attempts=-qualified fault events
-  /// Checkpoint container ("DFTMSNCC") the attempt reads/writes its
-  /// entry in. Empty: no checkpointing.
-  std::string checkpoint_path;
-  std::uint64_t checkpoint_spec = 0;  ///< this attempt's container entry
+  /// Simulated seconds between periodic checkpoint images. <= 0: none.
   double checkpoint_every_s = 0.0;
   bool verify_on_resume = true;
 };
@@ -57,14 +58,13 @@ struct WorkerRequest {
 struct WorkerResult {
   bool ok = false;
   /// Stopped on request (external stop, stop-after-checkpoints test
-  /// hook), not failed; `error` says where. Never sent over a link.
+  /// hook), not failed; `error` says where.
   bool interrupted = false;
   std::string error;
   /// Why this run's checkpoint was dropped for a fresh start: it did not
   /// decode, or its replay diverged. Empty: it resumed, or there was none.
   std::string resume_rejected;
   RunResult result;
-  std::uint64_t checkpoints_written = 0;
   telemetry::Registry registry;  ///< empty when telemetry is disabled
 };
 
@@ -79,7 +79,6 @@ enum class ResultFrameState : std::uint8_t {
   kOk,       ///< decoded cleanly, ok=true
   kError,    ///< decoded cleanly, ok=false (worker reported a failure)
   kMissing,  ///< hang-up before any result frame
-  kCorrupt,  ///< a damaged frame or an undecodable result image
 };
 
 /// Supervisor verdict for one finished worker.

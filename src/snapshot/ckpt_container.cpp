@@ -29,6 +29,9 @@ constexpr std::uint32_t kKindIndex = 2;
 // Compact when superseded records waste more than both the live data and
 // this floor — small containers are never worth rewriting.
 constexpr std::uint64_t kCompactMinDeadBytes = 256 * 1024;
+// Below this many bytes per live record, reading the live records' whole
+// span beats one pread per record header.
+constexpr std::uint64_t kSpanBytesPerRecord = 4096;
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw SnapshotError("container " + path + ": " + what);
@@ -159,6 +162,9 @@ struct ScanState {
   bool header_ok = false;  ///< false: rewrite the header before appending
   std::uint64_t data_end = kHeaderSize;  ///< after the last data record
   std::uint64_t next_seq = 1;
+  /// False on the fast path until View::measure: entries' seq and
+  /// payload_len, live_bytes and dead_bytes are not known yet.
+  bool measured = true;
   std::uint64_t live_bytes = 0;
 };
 
@@ -277,14 +283,16 @@ ScanState scan_image(const std::string& path,
 }
 
 /// The fast path: the header, the footer and the index record it points
-/// at, plus the 32-byte header of every indexed record — O(index), never
-/// a byte of record payload. next_seq, data_end and the byte counts
-/// follow from the index alone (a clean container holds only checkpoint
-/// records between the header and the index, so dead = index_offset -
-/// header - live). Returns nullopt on any doubt; the caller then runs the
-/// recovery scan, so this must never accept a damaged tail but may
-/// reject anything unusual. Record digests are checked by whoever reads
-/// the record (read_payload).
+/// at — O(index), never a byte of any record. The index digest covers
+/// every (spec, offset) pair, so each operation reads and checks only the
+/// records it touches (read_payload); until then an entry's seq and
+/// payload_len read 0 and the byte counts are unmeasured (View::measure).
+/// next_seq follows from the index record's own generation, which every
+/// tail write sets above all record generations, and data_end from its
+/// offset (a clean container holds only checkpoint records between the
+/// header and the index). Returns nullopt on any doubt; the caller then
+/// runs the recovery scan, so this must never accept a damaged tail but
+/// may reject anything unusual.
 std::optional<ScanState> index_state(const ReadFile& f) {
   const std::uint64_t size = f.size();
   if (size < kHeaderSize + kRecOverhead + 8 + kFooterSize) return std::nullopt;
@@ -323,41 +331,50 @@ std::optional<ScanState> index_state(const ReadFile& f) {
   s.result.file_size = size;
   s.result.valid_end = size;
   s.header_ok = true;
+  s.measured = false;
   s.data_end = index_offset;
   s.next_seq = get_u64(index.data() + 16) + 1;
   const std::uint64_t count = get_u64(p);
+  s.result.entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t spec = get_u64(p + 8 + i * 16);
     const std::uint64_t off = get_u64(p + 16 + i * 16);
-    std::uint8_t rec[kRecHeaderSize];
     if ((i > 0 && spec <= s.result.entries.back().spec) ||
         off < kHeaderSize || off > index_offset ||
-        index_offset - off < kRecOverhead ||
-        !f.read_exact(rec, kRecHeaderSize, off) ||
-        std::memcmp(rec, kRecMagic, 4) != 0 ||
-        get_u32(rec + 4) != kKindCheckpoint || get_u64(rec + 8) != spec ||
-        get_u64(rec + 24) > index_offset - off - kRecOverhead)
+        index_offset - off < kRecOverhead)
       return std::nullopt;
-    const ContainerEntry e{spec, get_u64(rec + 16), off, get_u64(rec + 24)};
-    s.next_seq = std::max(s.next_seq, e.seq + 1);
-    s.live_bytes += kRecOverhead + e.payload_len;
-    s.result.entries.push_back(e);
+    s.result.entries.push_back({spec, 0, off, 0});
   }
-  if (s.live_bytes > index_offset - kHeaderSize) return std::nullopt;
-  s.result.dead_bytes = index_offset - kHeaderSize - s.live_bytes;
   return s;
 }
 
-/// Reads the record `e` names and checks its digest; nullopt when the
-/// record is damaged.
-std::optional<std::vector<std::uint8_t>> read_payload(
-    const ReadFile& f, const ContainerEntry& e) {
+/// Checks that `head` (the kRecHeaderSize bytes at e.offset) starts a
+/// checkpoint record of e.spec that fits below `end`, filling in e's seq
+/// and payload_len. False when it does not.
+bool check_record_header(const std::uint8_t* head, ContainerEntry& e,
+                         std::uint64_t end) {
+  if (std::memcmp(head, kRecMagic, 4) != 0 ||
+      get_u32(head + 4) != kKindCheckpoint || get_u64(head + 8) != e.spec ||
+      get_u64(head + 24) > end - e.offset - kRecOverhead)
+    return false;
+  e.seq = get_u64(head + 16);
+  e.payload_len = get_u64(head + 24);
+  return true;
+}
+
+/// Reads the record `e` names (below `end`) and checks its header and
+/// digest; nullopt when the record is damaged.
+std::optional<std::vector<std::uint8_t>> read_payload(const ReadFile& f,
+                                                      ContainerEntry& e,
+                                                      std::uint64_t end) {
   std::uint8_t head[kRecHeaderSize];
+  if (!f.read_exact(head, kRecHeaderSize, e.offset) ||
+      !check_record_header(head, e, end))
+    return std::nullopt;
   std::uint8_t digest[8];
   std::vector<std::uint8_t> payload(e.payload_len);
   const std::uint64_t at = e.offset + kRecHeaderSize;
-  if (!f.read_exact(head, kRecHeaderSize, e.offset) ||
-      !f.read_exact(payload.data(), payload.size(), at) ||
+  if (!f.read_exact(payload.data(), payload.size(), at) ||
       !f.read_exact(digest, 8, at + e.payload_len))
     return std::nullopt;
   StateHash h;
@@ -392,12 +409,62 @@ struct View {
     indexed = false;
   }
 
+  /// Reads every live record header for the byte counts; recovery when
+  /// one does not check out.
+  void measure(const ReadFile& f, const std::string& path) {
+    if (s.measured) return;
+    // Small records (a manifest's): one read of the span the live records
+    // lie in costs less than one pread per header.
+    std::uint64_t first = s.data_end;
+    for (const ContainerEntry& e : s.result.entries)
+      first = std::min(first, e.offset);
+    std::vector<std::uint8_t> span;
+    if (s.data_end - first <= s.result.entries.size() * kSpanBytesPerRecord) {
+      span.resize(s.data_end - first);
+      if (!f.read_exact(span.data(), span.size(), first))
+        return recover(f, path);
+    }
+    std::uint8_t buf[kRecHeaderSize];
+    s.live_bytes = 0;
+    for (ContainerEntry& e : s.result.entries) {
+      // index_state keeps every offset a whole header below data_end.
+      const std::uint8_t* head =
+          span.empty() ? buf : span.data() + (e.offset - first);
+      if ((span.empty() && !f.read_exact(buf, kRecHeaderSize, e.offset)) ||
+          !check_record_header(head, e, s.data_end))
+        return recover(f, path);
+      s.live_bytes += kRecOverhead + e.payload_len;
+    }
+    if (s.live_bytes > s.data_end - kHeaderSize) return recover(f, path);
+    s.result.dead_bytes = s.data_end - kHeaderSize - s.live_bytes;
+    s.measured = true;
+  }
+
   /// Recovery when any live record fails its digest: the view scan and
   /// repair report (--fsck). Dead records are never read.
   void verify_live(const ReadFile& f, const std::string& path) {
     if (!indexed) return;
-    for (const ContainerEntry& e : s.result.entries)
-      if (!read_payload(f, e)) return recover(f, path);
+    for (ContainerEntry& e : s.result.entries)
+      if (!read_payload(f, e, s.data_end)) return recover(f, path);
+    measure(f, path);
+  }
+
+  /// Whether superseded records waste more than both the live data and
+  /// kCompactMinDeadBytes. Reads the live record headers only when the
+  /// index alone cannot rule that out: dead bytes are at most the data
+  /// region minus the live records' framing, which is a lower bound on
+  /// live bytes.
+  bool worth_compacting(const ReadFile& f, const std::string& path) {
+    if (!s.measured) {
+      const std::uint64_t data = s.data_end - kHeaderSize;
+      const std::uint64_t framing = s.result.entries.size() * kRecOverhead;
+      if (data < framing || data - framing <= kCompactMinDeadBytes ||
+          data - framing <= framing)
+        return false;
+      measure(f, path);
+    }
+    return s.result.dead_bytes > kCompactMinDeadBytes &&
+           s.result.dead_bytes > s.live_bytes;
   }
 
   [[nodiscard]] const ContainerEntry* find(std::uint64_t spec) const {
@@ -487,14 +554,18 @@ class FreshImage {
 std::vector<std::uint8_t> compacted_image(View& v, const ReadFile& f,
                                           const std::string& path) {
   FreshImage img;
-  for (const ContainerEntry& e : v.s.result.entries) {
-    std::optional<std::vector<std::uint8_t>> read;
-    if (v.indexed && !(read = read_payload(f, e))) {
+  for (ContainerEntry& e : v.s.result.entries) {
+    if (!v.indexed) {
+      img.add(e.spec, v.image_payload(e), e.payload_len);
+      continue;
+    }
+    const std::optional<std::vector<std::uint8_t>> read =
+        read_payload(f, e, v.s.data_end);
+    if (!read) {
       v.recover(f, path);
       return compacted_image(v, f, path);
     }
-    img.add(e.spec, v.indexed ? read->data() : v.image_payload(e),
-            e.payload_len);
+    img.add(e.spec, read->data(), read->size());
   }
   return img.finish();
 }
@@ -527,8 +598,7 @@ void container_put(const std::string& path, std::uint64_t spec,
   IoEnv& io = IoEnv::instance();
   const ReadFile f(path);
   View v(f, path);
-  if (v.s.result.dead_bytes > kCompactMinDeadBytes &&
-      v.s.result.dead_bytes > v.s.live_bytes) {
+  if (v.worth_compacting(f, path)) {
     io.write_file_atomic_durable(path, compacted_image(v, f, path));
     v = View(ReadFile(path), path);  // the compacted file replaced f's
   }
@@ -577,8 +647,8 @@ std::optional<std::vector<std::uint8_t>> container_get(
   View v(f, path);
   const ContainerEntry* e = v.find(spec);
   if (e != nullptr && v.indexed) {
-    if (std::optional<std::vector<std::uint8_t>> payload = read_payload(f, *e))
-      return payload;
+    ContainerEntry touched = *e;
+    if (auto payload = read_payload(f, touched, v.s.data_end)) return payload;
     v.recover(f, path);  // the indexed record is damaged
     e = v.find(spec);
   }
@@ -597,13 +667,14 @@ void container_write_fresh(
   IoEnv::instance().write_file_atomic_durable(path, img.finish());
 }
 
-void container_erase(const std::string& path, std::uint64_t spec) {
+std::size_t container_erase(const std::string& path, std::uint64_t spec) {
   ContainerLock lock(path);
   const ReadFile f(path);
   const View v(f, path);
   const ScanState& s = v.s;
-  if (!s.result.exists || (v.find(spec) == nullptr && s.result.clean))
-    return;
+  if (!s.result.exists) return 0;
+  if (v.find(spec) == nullptr && s.result.clean)
+    return s.result.entries.size();
 
   std::vector<ContainerEntry> entries;
   for (const ContainerEntry& e : s.result.entries)
@@ -618,12 +689,14 @@ void container_erase(const std::string& path, std::uint64_t spec) {
     throw;
   }
   ::close(fd);
+  return entries.size();
 }
 
 void container_compact(const std::string& path) {
   ContainerLock lock(path);
   const ReadFile f(path);
   View v(f, path);
+  v.measure(f, path);
   if (!v.s.result.exists || (v.s.result.clean && v.s.result.dead_bytes == 0))
     return;
   IoEnv::instance().write_file_atomic_durable(path,

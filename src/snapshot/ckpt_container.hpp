@@ -31,11 +31,15 @@
 // concurrent sweep threads and isolated worker processes. It then reads
 // the 12-byte header, the 16-byte footer at EOF and the index record the
 // footer points at, and checks the header's magic and version, the
-// index's digest, that the index ends exactly at the footer, and that
-// every indexed offset holds a checkpoint record header of that spec
-// which fits below the index. Beyond that:
-//   - container_get reads and digest-checks only the record it returns;
-//   - container_put appends one record plus a new tail;
+// index's digest and that the index ends exactly at the footer. The index
+// digest covers every (spec, offset) pair, so no other record is read
+// unless the operation touches it:
+//   - container_get reads and checks only the header and digest of the
+//     record it returns;
+//   - container_put appends one record plus a new tail, and reads the
+//     live record headers only when the index cannot rule out an
+//     automatic compaction (the data region exceeds the live records'
+//     framing by more than both that framing and the compaction floor);
 //   - container_erase rewrites only the tail;
 //   - compaction reads and digest-checks only the live records it
 //     re-seals, and writes them as one fresh image, the same image
@@ -46,7 +50,7 @@
 // compaction drops it. An operation therefore costs O(index + the
 // records it touches), not O(file). Any doubt — a bad header, footer or
 // index, a length that doesn't end at the footer, or a read record whose
-// digest fails — falls back to the front-to-back recovery scan above,
+// header or digest fails — falls back to the front-to-back recovery scan above,
 // the one torn-tail path, which digest-checks every record. Mutations go
 // through the IoEnv primitives and are therefore both durable (fsync
 // before the cut-over points) and fault-injectable.
@@ -107,8 +111,9 @@ void container_write_fresh(
     const std::vector<std::vector<std::uint8_t>>& payloads);
 
 /// Drops spec's entry from the index (the record becomes dead bytes).
-/// No-op when the container or entry is absent.
-void container_erase(const std::string& path, std::uint64_t spec);
+/// No-op when the container or entry is absent. Returns the number of
+/// live entries left (0 for an absent container).
+std::size_t container_erase(const std::string& path, std::uint64_t spec);
 
 /// Rewrites the container to exactly its live records. No-op (and no
 /// write) when the file is already clean and fully live.

@@ -108,11 +108,10 @@ std::vector<IoFault> parse_io_fault_schedule(const std::string& spec) {
       if (arg.rfind("bytes=", 0) == 0) {
         f.bytes = parse_count(spec, tok, "bytes", arg.substr(6));
       } else if (arg.rfind("scope=", 0) == 0) {
-        const std::string s = arg.substr(6);
-        if (s == "any") f.scope = IoScope::kAny;
-        else if (s == "parent") f.scope = IoScope::kParent;
-        else if (s == "worker") f.scope = IoScope::kWorker;
-        else bad_token(spec, tok, "unknown scope \"" + s + "\"");
+        // Only the sweep parent writes files, so there is no other
+        // process for a fault to fire in.
+        bad_token(spec, tok,
+                  "scope= is no longer accepted: workers write no files");
       } else {
         bad_token(spec, tok, "unknown argument \"" + arg + "\"");
       }
@@ -146,7 +145,6 @@ void IoEnv::reset() {
   faults_.clear();
   for (std::uint64_t& c : counts_) c = 0;
   crash_exits_ = false;
-  scope_ = IoScope::kParent;
 }
 
 std::uint64_t IoEnv::op_count(IoOp op) const {
@@ -176,7 +174,6 @@ IoEnv::Fired IoEnv::bump(IoOp op, bool after) {
                               : ++counts_[static_cast<std::size_t>(op)];
   for (IoFault& f : faults_) {
     if (f.fired || f.op != op || f.nth != n) continue;
-    if (f.scope != IoScope::kAny && f.scope != scope_) continue;
     const bool is_after = f.kind == IoFault::Kind::kCrashAfter;
     if (is_after != after) continue;
     f.fired = true;

@@ -20,9 +20,9 @@
 //     docs/durability.md for the schedule grammar.
 //
 // The environment is process-global (IoEnv::instance()): persistence
-// call sites stay free of plumbing, and a spawned worker process arms
-// its own schedule from the DFTMSN_IO_FAULTS environment variable it
-// inherits from the parent.
+// call sites stay free of plumbing. Only the sweep parent writes files
+// (worker processes send everything over their link), so a schedule
+// always counts the parent's operations.
 #pragma once
 
 #include <cstddef>
@@ -61,10 +61,6 @@ enum class IoOp : std::uint8_t {
 const char* io_op_name(IoOp op);
 inline constexpr std::size_t kIoOpCount = 5;
 
-/// Which process a fault arms in (an --isolate=process sweep shares one
-/// schedule string between the parent and every worker it spawns).
-enum class IoScope : std::uint8_t { kAny, kParent, kWorker };
-
 struct IoFault {
   enum class Kind : std::uint8_t {
     kEnospc,      ///< the op fails, message says ENOSPC
@@ -77,7 +73,6 @@ struct IoFault {
   IoOp op = IoOp::kWrite;
   std::uint64_t nth = 1;       ///< fires on the nth occurrence (1-based)
   std::uint64_t bytes = 0;     ///< short-write / torn-crash prefix length
-  IoScope scope = IoScope::kAny;
   bool fired = false;          ///< each fault fires at most once
 };
 
@@ -87,7 +82,7 @@ struct IoFault {
 ///   fault    := kind '@' op '#' N (':' arg (',' arg)*)?
 ///   kind     := enospc | eio | short | crash | crash-after
 ///   op       := open | write | fsync | rename | fsyncdir
-///   arg      := bytes=K | scope=(any|parent|worker)
+///   arg      := bytes=K
 std::vector<IoFault> parse_io_fault_schedule(const std::string& spec);
 
 class IoEnv {
@@ -106,8 +101,6 @@ class IoEnv {
   /// throwing InjectedCrash. The CLI turns this on: an exiting process
   /// is the honest simulation of power loss (no unwinding, no cleanup).
   void set_crash_exits(bool on) { crash_exits_ = on; }
-  /// This process's side of the parent/worker split (scope= filtering).
-  void set_scope(IoScope s) { scope_ = s; }
 
   [[nodiscard]] std::uint64_t op_count(IoOp op) const;
   [[nodiscard]] bool armed() const;
@@ -153,7 +146,6 @@ class IoEnv {
   std::vector<IoFault> faults_;
   std::uint64_t counts_[kIoOpCount] = {0, 0, 0, 0, 0};
   bool crash_exits_ = false;
-  IoScope scope_ = IoScope::kParent;
 };
 
 }  // namespace dftmsn::snapshot

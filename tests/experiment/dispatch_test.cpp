@@ -1,11 +1,15 @@
 // Dispatch-plane suite (docs/distributed_sweeps.md): the wire frame
-// codec (round-trips, partial prefixes, damage rejection), the lease
-// machinery against real loopback sockets (expiry without progress,
-// requeue, duplicate-result idempotency, heartbeat-gated extension),
-// and the headline robustness contract — a dispatched sweep's manifest
-// is byte-identical to an in-process run of the same specs.
+// codec (round-trips, chunked checkpoint images, partial prefixes,
+// damage rejection), the scheduler's lease queue on a scripted clock
+// (expiry without progress, requeue, duplicate-result idempotency,
+// heartbeat-gated extension, stale images, watchdog, stop), and over
+// real loopback sockets the hello version check, a worker that stops
+// reading its grant, and the headline robustness contract — a
+// dispatched sweep's manifest is byte-identical to an in-process run of
+// the same specs.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,15 +17,19 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/net_util.hpp"
 #include "experiment/dispatch.hpp"
+#include "experiment/spec_queue.hpp"
 #include "experiment/supervisor.hpp"
 #include "experiment/worker_protocol.hpp"
+#include "snapshot/ckpt_container.hpp"
 #include "snapshot/snapshot_io.hpp"
 #include "telemetry/status.hpp"
 
@@ -75,6 +83,30 @@ void wait_for(const Pred& pred, double secs, const char* what) {
         << "timed out waiting for " << what;
     sleep_ms(5);
   }
+}
+
+/// A digest-sealed frame of `type` around `w`'s bytes, built by hand to
+/// carry fields the encoders never write.
+std::vector<std::uint8_t> raw_frame(std::uint8_t type,
+                                    const snapshot::Writer& w) {
+  // Magic "DFW3", the type, then length, payload, digest.
+  std::vector<std::uint8_t> out = {0x44, 0x46, 0x57, 0x33, type};
+  const std::uint32_t len = static_cast<std::uint32_t>(w.bytes().size());
+  for (int i = 0; i < 4; ++i)
+    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+  snapshot::StateHash h;
+  h.update(out.data(), out.size());
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<std::uint8_t>(h.value() >> (8 * i)));
+  return out;
+}
+
+WireFrame extract(const std::vector<std::uint8_t>& bytes) {
+  WireFrame f;
+  EXPECT_EQ(try_extract_frame(bytes.data(), bytes.size(), "t", &f),
+            bytes.size());
+  return f;
 }
 
 // --- frame codec -------------------------------------------------------
@@ -132,15 +164,54 @@ TEST(DispatchFrames, RoundTripEveryType) {
   EXPECT_EQ(f.attempt, 2);
   EXPECT_EQ(f.result, sealed);
 
-  const auto hb =
-      encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u, 6);
+  const auto hb = encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u);
   ASSERT_EQ(try_extract_frame(hb.data(), hb.size(), "t", &f), hb.size());
   EXPECT_EQ(f.type, FrameType::kHeartbeat);
   EXPECT_EQ(f.lease_id, 11u);
   EXPECT_EQ(f.spec, 5u);
   EXPECT_EQ(f.events, 12345u);
   EXPECT_EQ(f.sim_time_bits, 0x3ff0000000000000u);
-  EXPECT_EQ(f.checkpoint_seq, 6u);
+
+  const std::vector<std::uint8_t> image = {4, 0, 2, 0xff};
+  const auto ckpt = encode_checkpoint_frames(11, 5, image);
+  ASSERT_EQ(try_extract_frame(ckpt.data(), ckpt.size(), "t", &f), ckpt.size());
+  EXPECT_EQ(f.type, FrameType::kCheckpoint);
+  EXPECT_EQ(f.lease_id, 11u);
+  EXPECT_EQ(f.spec, 5u);
+  EXPECT_EQ(f.offset, 0u);
+  EXPECT_EQ(f.total, image.size());
+  EXPECT_EQ(f.chunk, image);
+  ImageParts parts;
+  EXPECT_EQ(parts.add(std::move(f), "t"), image);
+}
+
+TEST(DispatchFrames, ImageLargerThanThePayloadCapCrossesChunked) {
+  // A 100k-node world's checkpoint outgrows one frame's payload cap; it
+  // crosses as a run of capped frames and reassembles byte for byte.
+  std::vector<std::uint8_t> image(kMaxDispatchPayload + 4099);
+  for (std::size_t i = 0; i < image.size(); ++i)
+    image[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
+  const std::vector<std::uint8_t> stream =
+      encode_checkpoint_frames(3, 8, image);
+  ImageParts parts;
+  std::optional<std::vector<std::uint8_t>> got;
+  std::size_t off = 0;
+  std::size_t frames = 0;
+  while (off < stream.size()) {
+    WireFrame f;
+    const std::size_t used =
+        try_extract_frame(stream.data() + off, stream.size() - off, "t", &f);
+    ASSERT_GT(used, 0u);
+    ASSERT_LE(used, kDispatchFrameHeader + kMaxDispatchPayload +
+                        kDispatchFrameTrailer);
+    off += used;
+    ++frames;
+    ASSERT_FALSE(got.has_value()) << "image complete before its last chunk";
+    got = parts.add(std::move(f), "t");
+  }
+  EXPECT_GT(frames, 1u);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(*got == image);
 }
 
 TEST(DispatchFrames, EveryPartialPrefixAsksForMoreBytes) {
@@ -158,7 +229,7 @@ TEST(DispatchFrames, ConcatenatedStreamExtractsInOrder) {
   std::vector<std::uint8_t> stream;
   for (const auto& frame :
        {encode_hello_frame("w"), encode_request_frame(),
-        encode_heartbeat_frame(1, 2, 3, 4, 5), encode_nowork_frame(true)})
+        encode_heartbeat_frame(1, 2, 3, 4), encode_nowork_frame(true)})
     stream.insert(stream.end(), frame.begin(), frame.end());
 
   std::vector<FrameType> seen;
@@ -178,11 +249,9 @@ TEST(DispatchFrames, ConcatenatedStreamExtractsInOrder) {
 }
 
 TEST(DispatchFrames, DamageIsRejectedNamingTheContext) {
-  const auto good = encode_heartbeat_frame(1, 2, 3, 4, 5);
   WireFrame f;
-
   const auto expect_throw = [&](std::vector<std::uint8_t> bytes,
-                                const char* what) {
+                                const std::string& what) {
     try {
       try_extract_frame(bytes.data(), bytes.size(), "ctx", &f);
       ADD_FAILURE() << what << ": damage accepted";
@@ -192,244 +261,308 @@ TEST(DispatchFrames, DamageIsRejectedNamingTheContext) {
     }
   };
 
-  auto bad_magic = good;
-  bad_magic[0] ^= 0xff;
-  expect_throw(bad_magic, "bad magic");
+  for (const auto& good : {encode_heartbeat_frame(1, 2, 3, 4),
+                           encode_checkpoint_frames(1, 2, {9, 8, 7})}) {
+    const std::string type = std::to_string(good[4]);
+    auto bad_magic = good;
+    bad_magic[0] ^= 0xff;
+    expect_throw(bad_magic, "bad magic, type " + type);
 
-  auto bad_type = good;
-  bad_type[4] = 77;
-  expect_throw(bad_type, "unknown type");
+    auto bad_type = good;
+    bad_type[4] = 77;
+    expect_throw(bad_type, "unknown type, type " + type);
 
-  auto huge_len = good;
-  huge_len[5] = 0xff;  // length field little-endian low byte
-  huge_len[6] = 0xff;
-  huge_len[7] = 0xff;
-  huge_len[8] = 0xff;  // ~4 GiB: over the cap, rejected before allocating
-  expect_throw(huge_len, "oversized length");
+    auto huge_len = good;
+    huge_len[5] = 0xff;  // length field little-endian low byte
+    huge_len[6] = 0xff;
+    huge_len[7] = 0xff;
+    huge_len[8] = 0xff;  // ~4 GiB: over the cap, rejected before allocating
+    expect_throw(huge_len, "oversized length, type " + type);
 
-  auto bad_digest = good;
-  bad_digest.back() ^= 0x01;
-  expect_throw(bad_digest, "digest flip");
+    auto bad_digest = good;
+    bad_digest.back() ^= 0x01;
+    expect_throw(bad_digest, "digest flip, type " + type);
 
-  auto torn_payload = good;
-  torn_payload[kDispatchFrameHeader] ^= 0xa5;
-  expect_throw(torn_payload, "payload flip");
+    auto torn_payload = good;
+    torn_payload[kDispatchFrameHeader] ^= 0xa5;
+    expect_throw(torn_payload, "payload flip, type " + type);
+  }
+
+  // A digest-clean chunk that does not continue the image in flight is
+  // refused too: a gap would otherwise splice two images together.
+  const std::vector<std::uint8_t> image(kCheckpointChunk + 10, 1);
+  const auto frames = encode_checkpoint_frames(1, 2, image);
+  WireFrame first;
+  WireFrame second;
+  const std::size_t used =
+      try_extract_frame(frames.data(), frames.size(), "ctx", &first);
+  ASSERT_EQ(try_extract_frame(frames.data() + used, frames.size() - used,
+                              "ctx", &second),
+            frames.size() - used);
+  ImageParts parts;
+  const auto expect_refused = [&parts](WireFrame&& chunk,
+                                       const std::string& what) {
+    try {
+      parts.add(std::move(chunk), "ctx");
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("ctx"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_refused(std::move(second), "a chunk out of sequence");
+  EXPECT_FALSE(parts.add(std::move(first), "ctx").has_value());
+  // One image in flight per link: another spec's chunk cannot start a
+  // second partial image beside it.
+  expect_refused(extract(encode_checkpoint_frames(1, 3, {5})),
+                 "another spec's chunk mid-image");
+
+  // Sizes are checked before anything is buffered: an empty image, and
+  // a declared total over the cap (memory a peer could otherwise claim
+  // chunk by chunk).
+  expect_refused(extract(encode_checkpoint_frames(1, 2, {})), "empty image");
+  snapshot::Writer huge;
+  huge.u64(1);
+  huge.u64(2);
+  huge.u64(0);
+  huge.u64(kMaxCheckpointImage + 1);
+  huge.str("x");
+  expect_refused(extract(raw_frame(7, huge)), "total over the cap");
+
+  // An image its receiver does not keep (a stale lease's) is followed to
+  // its end without being buffered, and the next one reassembles.
+  const auto stale = encode_checkpoint_frames(4, 2, image);
+  std::size_t off = 0;
+  while (off < stale.size()) {
+    WireFrame f;
+    off += try_extract_frame(stale.data() + off, stale.size() - off, "ctx",
+                             &f);
+    EXPECT_FALSE(parts.add(std::move(f), "ctx", /*keep=*/false).has_value());
+  }
+  EXPECT_EQ(parts.add(extract(encode_checkpoint_frames(5, 2, {6, 7})), "ctx"),
+            (std::vector<std::uint8_t>{6, 7}));
 }
 
-// --- lease machinery over real sockets ---------------------------------
+// --- the lease queue on a scripted clock ------------------------------
 
-/// Minimal raw-socket worker stub: speaks just enough of the protocol to
-/// act out misbehaviour the real worker never exhibits.
-struct Stub {
-  int fd = -1;
-  std::vector<std::uint8_t> buf;
-
-  explicit Stub(int port) { fd = net::connect_tcp("127.0.0.1", port); }
-  ~Stub() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  void send(const std::vector<std::uint8_t>& bytes) const {
-    net::write_full(fd, bytes.data(), bytes.size());
-  }
-
-  WireFrame read_frame() {
-    std::vector<std::uint8_t> chunk(4096);
-    for (;;) {
-      WireFrame f;
-      const std::size_t used =
-          try_extract_frame(buf.data(), buf.size(), "stub", &f);
-      if (used > 0) {
-        buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
-        return f;
-      }
-      const ssize_t got = net::recv_some(fd, chunk.data(), chunk.size());
-      if (got <= 0) throw net::NetError("stub: dispatcher hung up");
-      buf.insert(buf.end(), chunk.data(), chunk.data() + got);
-    }
-  }
-};
-
-TEST(DispatchQueue, LeaseExpiryRequeuesAndDuplicateResultIsDiscarded) {
-  telemetry::StatusBoard board;
-  board.reset(3, {150.0, 150.0, 150.0});
-
-  std::atomic<int> port{0};
-  DispatchOptions opts;
-  opts.port = 0;
-  opts.port_out = &port;
-  opts.lease_secs = 0.2;  // expires fast: the stub never heartbeats
-  DispatchPolicy pol;
-  pol.retry_backoff_s = 0.0;
-
-  WorkerRequest req;
-  req.config = small_config(50);
-  const auto image = encode_worker_request(req);
-
-  std::atomic<int> requeued{0};
-  std::atomic<int> completed{0};
-  std::atomic<int> quarantined{0};
-  DispatchCallbacks cb;
-  cb.make_request = [&](std::size_t, int) { return image; };
-  cb.on_started = [](std::size_t, int) {};
-  cb.on_completed = [&](std::size_t, int, WorkerResult&&) { ++completed; };
-  cb.on_quarantined = [&](std::size_t, int, const std::string&) {
-    ++quarantined;
-  };
-  cb.on_interrupted = [](std::size_t, const std::string&) {};
-  cb.on_retrying = [](std::size_t, int, const std::string&) {};
-  cb.on_requeued = [&](std::size_t, int, const std::string&) { ++requeued; };
-  cb.on_progress = [](std::size_t, std::uint64_t, double) {};
-  cb.announce = [](const std::string&) {};
-
-  std::thread dispatcher([&] {
-    run_dispatch_queue(3, std::vector<char>(3, 0), opts, pol, &board, cb);
-  });
-  wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
-
-  // Stub 1 takes a lease and goes silent: no heartbeat, no result. The
-  // lease must expire and the batch requeue (to the back of the ready
-  // queue) without consuming the sim retry budget.
-  Stub s1(port.load());
-  s1.send(encode_hello_frame("stalled"));
-  s1.send(encode_request_frame());
-  const WireFrame g1 = s1.read_frame();
-  ASSERT_EQ(g1.type, FrameType::kGrant);
-  ASSERT_EQ(g1.items.size(), 1u);
-  const std::uint64_t spec0 = g1.items[0].spec;
-  EXPECT_EQ(spec0, 0u);
-  wait_for([&] { return requeued.load() > 0; }, 10.0, "lease expiry requeue");
-
+WorkerResult ok_result() {
   WorkerResult ok;
   ok.ok = true;
   ok.result.delivery_ratio = 1.0;
   ok.result.generated = 4;
   ok.result.delivered = 4;
+  return ok;
+}
 
-  // Stub 2 drains spec 1, parks a lease on spec 2, then picks the
-  // requeued spec 0 up and completes it — leaving spec 2 in flight so
-  // the queue stays alive for the duplicate to arrive.
-  Stub s2(port.load());
-  s2.send(encode_hello_frame("healthy"));
-  s2.send(encode_request_frame());
-  const WireFrame g2 = s2.read_frame();
-  ASSERT_EQ(g2.type, FrameType::kGrant);
-  ASSERT_EQ(g2.items.size(), 1u);
-  EXPECT_EQ(g2.items[0].spec, 1u);
-  s2.send(encode_result_frame(g2.lease_id, 1, g2.items[0].attempt,
-                              encode_worker_result(ok)));
-  wait_for([&] { return completed.load() == 1; }, 10.0, "spec 1 completion");
+WorkerResult failed_result(const std::string& error) {
+  WorkerResult bad;
+  bad.error = error;
+  return bad;
+}
 
-  s2.send(encode_request_frame());
-  const WireFrame g3 = s2.read_frame();
-  ASSERT_EQ(g3.type, FrameType::kGrant);
-  EXPECT_EQ(g3.items[0].spec, 2u);  // parked: completed last
+/// A SpecQueue over `n` specs wired to a status board, with what it
+/// publishes and stores collected for inspection.
+struct Rig {
+  explicit Rig(std::size_t n, RetryPolicy policy = RetryPolicy())
+      : q(std::vector<SpecRecord>(n), std::vector<double>(n, 150.0), policy,
+          Obs{&board, nullptr},
+          [this](std::size_t i, SpecRecord&& rec) {
+            published[i] = std::move(rec);
+          },
+          ImageStore{[this](std::size_t i, const Image& image) {
+                       puts.emplace_back(i, *image);
+                     },
+                     [this](std::size_t i) { erased.push_back(i); },
+                     nullptr}) {
+    board.reset(n, std::vector<double>(n, 150.0));
+  }
 
-  s2.send(encode_request_frame());
-  const WireFrame g4 = s2.read_frame();
-  ASSERT_EQ(g4.type, FrameType::kGrant);
-  EXPECT_EQ(g4.items[0].spec, spec0);
-  EXPECT_EQ(g4.items[0].attempt, g1.items[0].attempt)
-      << "a transport loss must not consume the sim retry budget";
-  s2.send(encode_result_frame(g4.lease_id, spec0, g4.items[0].attempt,
-                              encode_worker_result(ok)));
-  wait_for([&] { return completed.load() == 2; }, 10.0, "spec 0 completion");
+  /// Grants one spec; fails the test when nothing is ready.
+  std::uint64_t grant(ClientKind kind, double lease_secs, double now,
+                      std::size_t want_spec, int want_attempt) {
+    std::vector<Granted> g;
+    const std::uint64_t lease = q.grant(kind, 1, lease_secs, now, &g);
+    EXPECT_NE(lease, 0u);
+    EXPECT_EQ(g.size(), 1u);
+    if (g.size() == 1) {
+      EXPECT_EQ(g[0].spec, want_spec);
+      EXPECT_EQ(g[0].attempt, want_attempt);
+      image = g[0].image;
+    }
+    return lease;
+  }
 
-  // The resurrected stub 1 now publishes its stale result for the
+  telemetry::StatusBoard board;
+  std::map<std::size_t, SpecRecord> published;
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> puts;
+  std::vector<std::size_t> erased;
+  Image image;  ///< the last grant's resume image
+  SpecQueue q;
+};
+
+RetryPolicy no_backoff() {
+  RetryPolicy p;
+  p.retry_backoff_s = 0.0;
+  return p;
+}
+
+TEST(DispatchQueue, LeaseExpiryRequeuesAndDuplicateResultIsDiscarded) {
+  Rig r(3, no_backoff());
+  // Worker 1 takes spec 0 and goes silent: no heartbeat, no result. The
+  // lease expires and the spec requeues (to the back of the ready
+  // queue) without consuming the sim retry budget.
+  r.grant(ClientKind::kRemote, 0.2, 0.0, 0, 0);
+  EXPECT_TRUE(r.q.tick(0.1).empty());
+  EXPECT_EQ(r.q.counters().requeues, 0u);
+  EXPECT_TRUE(r.q.tick(0.3).empty());
+  EXPECT_EQ(r.q.counters().requeues, 1u);
+  EXPECT_EQ(r.q.counters().leases_expired, 1u);
+
+  // Worker 2 drains spec 1, parks a lease on spec 2, then picks the
+  // requeued spec 0 up — at the same attempt — and completes it.
+  r.grant(ClientKind::kRemote, 10.0, 0.3, 1, 0);
+  r.q.finish(1, ok_result(), 0.4);
+  r.grant(ClientKind::kRemote, 10.0, 0.4, 2, 0);
+  r.q.tick(0.4);
+  r.grant(ClientKind::kRemote, 10.0, 0.4, 0, 0);
+  r.q.finish(0, ok_result(), 0.5);
+  EXPECT_EQ(r.published.size(), 2u);
+
+  // The resurrected worker 1 now publishes its stale result for the
   // already-terminal spec 0: discarded by spec id, not double-completed.
-  s1.send(encode_result_frame(g1.lease_id, spec0, g1.items[0].attempt,
-                              encode_worker_result(ok)));
-  wait_for(
-      [&] { return board.snapshot().dispatch.duplicates_discarded >= 1; },
-      10.0, "duplicate discard");
-  EXPECT_EQ(completed.load(), 2);
+  r.q.finish(0, ok_result(), 0.6);
+  EXPECT_EQ(r.q.counters().duplicates_discarded, 1u);
+  EXPECT_EQ(r.published.size(), 2u);
 
-  // Unpark spec 2 so the queue can finish. (Its lease may have expired
-  // and requeued meanwhile — a late result for a non-terminal spec is
-  // still the first accepted one, so it completes either way.)
-  s2.send(encode_result_frame(g3.lease_id, 2, g3.items[0].attempt,
-                              encode_worker_result(ok)));
-  dispatcher.join();
-
-  EXPECT_EQ(completed.load(), 3);
-  EXPECT_EQ(quarantined.load(), 0);
-  const telemetry::StatusSnapshot snap = board.snapshot();
-  EXPECT_TRUE(snap.dispatch_enabled);
-  EXPECT_GE(snap.dispatch.leases_expired, 1u);
-  EXPECT_EQ(snap.dispatch.duplicates_discarded, 1u);
-  EXPECT_EQ(snap.dispatch.results_accepted, 3u);
+  r.q.finish(2, ok_result(), 0.7);
+  EXPECT_TRUE(r.q.done());
+  for (const auto& [i, rec] : r.published) {
+    EXPECT_EQ(rec.status, SpecStatus::kCompleted) << i;
+    EXPECT_EQ(rec.retries, 0) << "a transport loss is not a retry";
+  }
+  EXPECT_EQ(r.q.counters().results_accepted, 3u);
+  EXPECT_EQ(r.q.counters().batches_granted, 4u);
 }
 
 TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
-  telemetry::StatusBoard board;
-  board.reset(1, {150.0});
-
-  std::atomic<int> port{0};
-  DispatchOptions opts;
-  opts.port = 0;
-  opts.port_out = &port;
-  opts.lease_secs = 0.3;
-  DispatchPolicy pol;
-  pol.retry_backoff_s = 0.0;
-
-  WorkerRequest req;
-  req.config = small_config(51);
-  const auto image = encode_worker_request(req);
-
-  std::atomic<int> requeued{0};
-  std::atomic<bool> done{false};
-  DispatchCallbacks cb;
-  cb.make_request = [&](std::size_t, int) { return image; };
-  cb.on_started = [](std::size_t, int) {};
-  cb.on_completed = [&](std::size_t, int, WorkerResult&&) {};
-  cb.on_quarantined = [](std::size_t, int, const std::string&) {};
-  cb.on_interrupted = [](std::size_t, const std::string&) {};
-  cb.on_retrying = [](std::size_t, int, const std::string&) {};
-  cb.on_requeued = [&](std::size_t, int, const std::string&) { ++requeued; };
-  cb.on_progress = [](std::size_t, std::uint64_t, double) {};
-  cb.announce = [](const std::string&) {};
-
-  std::thread dispatcher([&] {
-    run_dispatch_queue(1, std::vector<char>(1, 0), opts, pol, &board, cb);
-    done.store(true);
-  });
-  wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
-
-  Stub s(port.load());
-  s.send(encode_hello_frame("hb"));
-  s.send(encode_request_frame());
-  const WireFrame g = s.read_frame();
-  ASSERT_EQ(g.type, FrameType::kGrant);
+  Rig r(1, no_backoff());
+  const std::uint64_t lease = r.grant(ClientKind::kRemote, 0.3, 0.0, 0, 0);
 
   // Progressing heartbeats (events strictly increasing) hold the lease
   // well past several base durations.
   std::uint64_t events = 1;
+  double t = 0.0;
   for (int i = 0; i < 10; ++i) {
-    s.send(
-        encode_heartbeat_frame(g.lease_id, g.items[0].spec, events++, 0, 0));
-    sleep_ms(100);
+    t += 0.1;
+    r.q.heartbeat(lease, 0, events++, t * 100.0, t);
+    r.q.tick(t);
   }
-  EXPECT_EQ(requeued.load(), 0)
+  EXPECT_EQ(r.q.counters().requeues, 0u)
       << "a progressing worker's lease must not expire";
+  EXPECT_EQ(r.board.snapshot().specs.at(0).events, events - 1);
 
   // A frozen counter (the SIGSTOP signature: frames may flow, progress
   // does not) stops extending it.
-  for (int i = 0; i < 10 && requeued.load() == 0; ++i) {
-    s.send(encode_heartbeat_frame(g.lease_id, g.items[0].spec, events, 0, 0));
-    sleep_ms(100);
+  for (int i = 0; i < 4; ++i) {
+    t += 0.1;
+    r.q.heartbeat(lease, 0, events - 1, t * 100.0, t);
+    r.q.tick(t);
   }
-  wait_for([&] { return requeued.load() > 0; }, 10.0,
-           "expiry under frozen progress");
+  EXPECT_EQ(r.q.counters().requeues, 1u);
 
-  WorkerResult ok;
-  ok.ok = true;
-  s.send(encode_request_frame());
-  const WireFrame g2 = s.read_frame();
-  ASSERT_EQ(g2.type, FrameType::kGrant);
-  s.send(encode_result_frame(g2.lease_id, g2.items[0].spec,
-                             g2.items[0].attempt, encode_worker_result(ok)));
-  dispatcher.join();
-  EXPECT_TRUE(done.load());
+  // The requeued spec's new lease ignores the old lease's heartbeats.
+  r.q.tick(t);
+  const std::uint64_t again = r.grant(ClientKind::kRemote, 0.3, t, 0, 0);
+  r.q.heartbeat(lease, 0, events + 100, 0.0, t + 0.2);
+  r.q.tick(t + 0.35);
+  EXPECT_EQ(r.q.counters().requeues, 2u) << "a stale heartbeat extended";
+  r.q.tick(t + 0.35);
+  const std::uint64_t last = r.grant(ClientKind::kRemote, 0.3, t + 0.35, 0, 0);
+  EXPECT_NE(again, last);
+  r.q.finish(0, ok_result(), t + 0.4);
+  EXPECT_TRUE(r.q.done());
+}
+
+TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {
+  // A reported failure is not a transport loss: it takes the retry path
+  // and quarantines after max_retries + 1 failures, with the local
+  // modes' manifest conventions.
+  RetryPolicy policy = no_backoff();
+  policy.max_retries = 1;
+  Rig r(1, policy);
+  for (int round = 0; round < 2; ++round) {
+    r.q.tick(round);
+    r.grant(ClientKind::kRemote, 10.0, round, 0, round);
+    r.q.finish(0, failed_result("simulated failure"), round);
+  }
+  ASSERT_TRUE(r.q.done());
+  const SpecRecord& rec = r.published.at(0);
+  EXPECT_EQ(rec.status, SpecStatus::kQuarantined);
+  EXPECT_EQ(rec.retries, 2);
+  EXPECT_EQ(rec.detail, "attempt 1: simulated failure");
+  EXPECT_EQ(r.q.counters().requeues, 0u);
+}
+
+TEST(DispatchQueue, CheckpointFromAStaleLeaseIsDiscarded) {
+  // Images are kept and stored only while their lease holds the spec; a
+  // requeued spec resumes from the last image it accepted.
+  Rig r(1, no_backoff());
+  const std::uint64_t l1 = r.grant(ClientKind::kRemote, 0.2, 0.0, 0, 0);
+  EXPECT_FALSE(r.image);
+  EXPECT_TRUE(r.q.checkpoint(l1, 0, {1, 1, 1}));
+  r.q.tick(0.3);  // l1 lapses
+  EXPECT_FALSE(r.q.checkpoint(l1, 0, {2, 2, 2}));
+  ASSERT_EQ(r.puts.size(), 1u);
+
+  r.q.tick(0.3);
+  const std::uint64_t l2 = r.grant(ClientKind::kRemote, 0.2, 0.3, 0, 0);
+  ASSERT_TRUE(r.image);
+  EXPECT_EQ(*r.image, (std::vector<std::uint8_t>{1, 1, 1}));
+  EXPECT_TRUE(r.q.checkpoint(l2, 0, {3, 3, 3}));
+  EXPECT_FALSE(r.q.checkpoint(l1, 0, {4, 4, 4}));
+  r.q.finish(0, ok_result(), 0.4);
+  EXPECT_EQ(r.puts.size(), 2u);
+  EXPECT_EQ(r.erased, std::vector<std::size_t>{0});
+  EXPECT_EQ(r.published.at(0).checkpoints, 2u);
+}
+
+TEST(DispatchQueue, WatchdogTripsALocalLeaseOnceAndChargesTheRetryBudget) {
+  RetryPolicy policy = no_backoff();
+  policy.watchdog_secs = 0.5;
+  Rig r(1, policy);
+  const std::uint64_t lease = r.grant(ClientKind::kLocal, 0.5, 0.0, 0, 0);
+  r.q.heartbeat(lease, 0, 10, 1.0, 0.2);
+  EXPECT_TRUE(r.q.tick(0.6).empty());  // progress at 0.2 holds it to 0.7
+  EXPECT_EQ(r.q.tick(0.8), std::vector<std::uint64_t>{lease});
+  EXPECT_TRUE(r.q.tick(0.9).empty()) << "one trip per attempt";
+  r.q.finish(0, failed_result("aborted at t=1"), 1.0);
+  ASSERT_FALSE(r.q.done());
+  r.q.tick(1.0);
+  r.grant(ClientKind::kLocal, 0.5, 1.0, 0, 1);
+  r.q.finish(0, ok_result(), 1.1);
+  const SpecRecord& rec = r.published.at(0);
+  EXPECT_EQ(rec.status, SpecStatus::kCompleted);
+  EXPECT_EQ(rec.retries, 1);
+  EXPECT_EQ(r.q.counters().requeues, 0u);
+  EXPECT_EQ(r.board.snapshot().watchdog_trips, 1u);
+}
+
+TEST(DispatchQueue, StopInterruptsWhatNoLocalClientHolds) {
+  Rig r(3, no_backoff());
+  const std::uint64_t local = r.grant(ClientKind::kLocal, 1.0, 0.0, 0, 0);
+  r.grant(ClientKind::kRemote, 1.0, 0.0, 1, 0);
+  EXPECT_EQ(r.q.stop(), std::vector<std::uint64_t>{local});
+  EXPECT_EQ(r.published.at(1).detail, "interrupted (dispatch stopped)");
+  EXPECT_EQ(r.published.at(2).detail, "stopped before start");
+  EXPECT_FALSE(r.q.done());
+  std::vector<Granted> g;
+  EXPECT_EQ(r.q.grant(ClientKind::kRemote, 1, 1.0, 0.0, &g), 0u);
+  r.q.finish(0, failed_result("worker killed by SIGKILL"), 0.1);
+  r.q.finish(1, ok_result(), 0.1);  // too late: a duplicate
+  ASSERT_TRUE(r.q.done());
+  for (const auto& [i, rec] : r.published)
+    EXPECT_EQ(rec.status, SpecStatus::kInterrupted) << i;
+  EXPECT_EQ(r.published.at(0).detail, "interrupted (worker stopped)");
 }
 
 // --- end-to-end byte identity ------------------------------------------
@@ -475,130 +608,129 @@ TEST(DispatchQueue, DispatchedSweepMatchesInProcessManifestBytes) {
       << "dispatched manifest must be byte-identical to in-process";
 }
 
-TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {
-  // An invariant-violating config quarantines after max_retries + 1
-  // reported failures — the dispatcher must mirror the local loop's
-  // retry bookkeeping, not treat a reported failure as a transport loss.
-  std::atomic<int> port{0};
-  DispatchOptions opts;
-  opts.port = 0;
-  opts.port_out = &port;
-  DispatchPolicy pol;
-  pol.max_retries = 1;
-  pol.retry_backoff_s = 0.0;
+/// Minimal raw-socket worker stub: speaks just enough of the protocol to
+/// act out misbehaviour the real worker never exhibits.
+struct Stub {
+  int fd = -1;
+  std::vector<std::uint8_t> buf;
 
-  WorkerRequest req;
-  req.config = small_config(52);
-  const auto image = encode_worker_request(req);
-
-  std::vector<int> retry_attempts;
-  std::atomic<int> quarantined_attempt{-1};
-  std::string quarantine_detail;
-  std::mutex mu;
-  DispatchCallbacks cb;
-  cb.make_request = [&](std::size_t, int) { return image; };
-  cb.on_started = [](std::size_t, int) {};
-  cb.on_completed = [&](std::size_t, int, WorkerResult&&) {
-    ADD_FAILURE() << "failing spec must not complete";
-  };
-  cb.on_quarantined = [&](std::size_t, int attempt,
-                          const std::string& detail) {
-    std::lock_guard<std::mutex> lock(mu);
-    quarantine_detail = detail;
-    quarantined_attempt.store(attempt);
-  };
-  cb.on_interrupted = [](std::size_t, const std::string&) {};
-  cb.on_retrying = [&](std::size_t, int attempt, const std::string&) {
-    std::lock_guard<std::mutex> lock(mu);
-    retry_attempts.push_back(attempt);
-  };
-  cb.on_requeued = [](std::size_t, int, const std::string&) {};
-  cb.on_progress = [](std::size_t, std::uint64_t, double) {};
-  cb.announce = [](const std::string&) {};
-
-  std::thread dispatcher([&] {
-    run_dispatch_queue(1, std::vector<char>(1, 0), opts, pol, nullptr, cb);
-  });
-  wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
-
-  Stub s(port.load());
-  s.send(encode_hello_frame("failer"));
-  WorkerResult bad;
-  bad.ok = false;
-  bad.error = "simulated failure";
-  for (int round = 0; round < 2; ++round) {
-    s.send(encode_request_frame());
-    const WireFrame g = s.read_frame();
-    ASSERT_EQ(g.type, FrameType::kGrant);
-    EXPECT_EQ(g.items[0].attempt, round);
-    s.send(encode_result_frame(g.lease_id, g.items[0].spec,
-                               g.items[0].attempt,
-                               encode_worker_result(bad)));
+  explicit Stub(int port) { fd = net::connect_tcp("127.0.0.1", port); }
+  ~Stub() {
+    if (fd >= 0) ::close(fd);
   }
-  dispatcher.join();
 
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(retry_attempts, std::vector<int>{1});
-  EXPECT_EQ(quarantined_attempt.load(), 2);
-  EXPECT_NE(quarantine_detail.find("attempt 1: simulated failure"),
-            std::string::npos)
-      << quarantine_detail;
-}
+  void send(const std::vector<std::uint8_t>& bytes) const {
+    net::write_full(fd, bytes.data(), bytes.size());
+  }
+
+  WireFrame read_frame() {
+    std::vector<std::uint8_t> chunk(4096);
+    for (;;) {
+      WireFrame f;
+      const std::size_t used =
+          try_extract_frame(buf.data(), buf.size(), "stub", &f);
+      if (used > 0) {
+        buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
+        return f;
+      }
+      const ssize_t got = net::recv_some(fd, chunk.data(), chunk.size());
+      if (got <= 0) throw net::NetError("stub: dispatcher hung up");
+      buf.insert(buf.end(), chunk.data(), chunk.data() + got);
+    }
+  }
+};
 
 TEST(DispatchQueue, RefusesAHelloFromAnotherProtocolVersion) {
-  // A v3 worker's hello: the frame layout is unchanged, so it decodes,
+  // A v4 worker's hello: the frame layout is unchanged, so it decodes,
   // and the version field is what the dispatcher must refuse by name.
   snapshot::Writer w;
-  w.u32(3);
+  w.u32(4);
   w.str("old-worker");
-  // Magic "DFW3", frame type 1 (hello), then length, payload, digest.
-  std::vector<std::uint8_t> hello = {0x44, 0x46, 0x57, 0x33, 1};
-  const std::uint32_t len = static_cast<std::uint32_t>(w.bytes().size());
-  for (int i = 0; i < 4; ++i)
-    hello.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  hello.insert(hello.end(), w.bytes().begin(), w.bytes().end());
-  snapshot::StateHash h;
-  h.update(hello.data(), hello.size());
-  for (int i = 0; i < 8; ++i)
-    hello.push_back(static_cast<std::uint8_t>(h.value() >> (8 * i)));
+  const std::vector<std::uint8_t> hello = raw_frame(1, w);
   WireFrame parsed;
   ASSERT_EQ(try_extract_frame(hello.data(), hello.size(), "t", &parsed),
             hello.size());
-  ASSERT_EQ(parsed.version, 3u);
+  ASSERT_EQ(parsed.version, 4u);
 
   std::atomic<int> port{0};
-  DispatchOptions opts;
-  opts.port = 0;
-  opts.port_out = &port;
-  DispatchPolicy pol;
   std::atomic<bool> stop{false};
-  pol.stop = &stop;
-  std::mutex mu;
-  std::vector<std::string> announced;
-  DispatchCallbacks cb;
-  cb.announce = [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    announced.push_back(line);
-  };
-  std::thread dispatcher([&] {
-    run_dispatch_queue(1, std::vector<char>(1, 0), opts, pol, nullptr, cb);
-  });
+  std::ostringstream announced;
+  SupervisorOptions opts;
+  opts.dispatch.port = 0;
+  opts.dispatch.port_out = &port;
+  opts.stop = &stop;
+  opts.obs.announce = &announced;
+  std::thread supervisor([&] { run_specs_supervised(make_specs(1), opts); });
   wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
 
   Stub s(port.load());
   s.send(hello);
-  EXPECT_THROW(s.read_frame(), net::NetError) << "v3 hello was not refused";
+  EXPECT_THROW(s.read_frame(), net::NetError) << "v4 hello was not refused";
   stop.store(true);
-  dispatcher.join();
+  supervisor.join();
 
-  std::lock_guard<std::mutex> lock(mu);
   std::string refusal;
-  for (const std::string& line : announced)
+  std::istringstream lines(announced.str());
+  for (std::string line; std::getline(lines, line);)
     if (line.find("dropping connection") != std::string::npos) refusal = line;
-  EXPECT_NE(refusal.find("v3"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find("v4"), std::string::npos) << refusal;
   EXPECT_NE(refusal.find("v" + std::to_string(kWorkerProtocolVersion)),
             std::string::npos)
       << refusal;
+}
+
+TEST(DispatchQueue, AWorkerThatStopsReadingItsGrantCannotStallTheSweep) {
+  // A --connect worker asks for work and stops (SIGSTOP) before it reads
+  // a grant whose resume image outgrows the socket buffers. The sweep
+  // must go on: the grant waits on that link, the lease lapses, and the
+  // spec is requeued to a live worker, image and all.
+  TempDir dir("dispatch_stall.tmp");
+  const std::string trace = dir.path + "/trace.json";
+  snapshot::container_put(checkpoint_container_path(dir.path), 0,
+                          std::vector<std::uint8_t>(24u << 20, 0x5a));
+  std::atomic<int> port{0};
+  std::atomic<bool> finished{false};
+  SupervisorOptions opts;
+  opts.checkpoint_dir = dir.path;
+  opts.resume = true;  // the spec's first grant carries the stored image
+  opts.obs.trace_path = trace;
+  opts.dispatch.port = 0;
+  opts.dispatch.port_out = &port;
+  opts.dispatch.lease_secs = 0.5;
+  SweepManifest got;
+  std::thread supervisor([&] {
+    got = run_specs_supervised(make_specs(1), opts);
+    finished.store(true);
+  });
+  wait_for([&] { return port.load() > 0; }, 10.0, "dispatch port");
+
+  auto stalled = std::make_unique<Stub>(port.load());
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(stalled->fd, SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof(small)),
+            0);
+  stalled->send(encode_hello_frame("stalled"));
+  stalled->send(encode_request_frame());
+  // The first bytes of its grant arrive; then it reads no more.
+  std::uint8_t head[kDispatchFrameHeader];
+  ASSERT_EQ(::recv(stalled->fd, head, sizeof(head), MSG_WAITALL),
+            static_cast<ssize_t>(sizeof(head)));
+  EXPECT_EQ(head[4], static_cast<std::uint8_t>(FrameType::kCheckpoint));
+
+  std::thread live([&] {
+    EXPECT_EQ(run_dispatch_worker("127.0.0.1", port.load()), 0);
+  });
+  wait_for([&] { return finished.load(); }, 60.0,
+           "the sweep to end while a worker is stalled");
+  stalled.reset();  // frees a sweep blocked on the stalled link
+  supervisor.join();
+  live.join();
+
+  ASSERT_EQ(got.completed(), 1);
+  EXPECT_EQ(got.specs[0].retries, 0) << "a lost lease is not a retry";
+  const auto bytes = snapshot::read_file(trace);
+  const std::string text(bytes.begin(), bytes.end());
+  EXPECT_NE(text.find("\"requeue\""), std::string::npos) << text;
 }
 
 }  // namespace

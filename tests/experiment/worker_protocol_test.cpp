@@ -1,8 +1,7 @@
 // Worker protocol: bit-exact request/result round-trips through the
 // sealed container images, the table of waitpid-status -> supervisor
-// decisions, the attempt executor's checkpoint adoption, and the parent
-// end of a spawned worker's link, driven over a socketpair by a fake
-// worker thread.
+// decisions, the attempt executor's checkpoint adoption, and the worker
+// end of a link, driven over a socketpair by a scripted parent.
 #include "experiment/worker_protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -46,7 +45,6 @@ TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   req.config.faults.plan = "segv@300:attempts=1";
   req.kind = ProtocolKind::kDirect;
   req.attempt = 3;
-  req.checkpoint_path = "ck/spec_7.ckpt";
   req.checkpoint_every_s = 250.25;
   req.verify_on_resume = false;
 
@@ -59,7 +57,6 @@ TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   EXPECT_EQ(got.config.faults.plan, req.config.faults.plan);
   EXPECT_EQ(got.kind, req.kind);
   EXPECT_EQ(got.attempt, req.attempt);
-  EXPECT_EQ(got.checkpoint_path, req.checkpoint_path);
   EXPECT_TRUE(same_bits(got.checkpoint_every_s, req.checkpoint_every_s));
   EXPECT_FALSE(got.verify_on_resume);
 }
@@ -71,7 +68,6 @@ TEST(WorkerProtocol, OkResultRoundTripsWithRegistry) {
   res.result.generated = 41;
   res.result.delivered = 12;
   res.result.events_executed = 987654;
-  res.checkpoints_written = 5;
   res.registry.counter("mac.rts_sent")->inc(17);
   res.registry.gauge("queue.peak_fill")->set(0.75);
   res.registry.histogram("delay", 0.0, 100.0, 4)->observe(12.5);
@@ -83,7 +79,6 @@ TEST(WorkerProtocol, OkResultRoundTripsWithRegistry) {
   EXPECT_EQ(got.result.generated, 41u);
   EXPECT_EQ(got.result.delivered, 12u);
   EXPECT_EQ(got.result.events_executed, 987654u);
-  EXPECT_EQ(got.checkpoints_written, 5u);
   EXPECT_EQ(got.registry.serialize(), res.registry.serialize());
 }
 
@@ -92,13 +87,11 @@ TEST(WorkerProtocol, ErrorResultRoundTrips) {
   res.ok = false;
   res.error = "simulated crash at t=300";
   res.resume_rejected = "snapshot: state mismatch in section 'sim'";
-  res.checkpoints_written = 2;
 
   const WorkerResult got = decode_worker_result(encode_worker_result(res));
   EXPECT_FALSE(got.ok);
   EXPECT_EQ(got.error, "simulated crash at t=300");
   EXPECT_EQ(got.resume_rejected, res.resume_rejected);
-  EXPECT_EQ(got.checkpoints_written, 2u);
   EXPECT_TRUE(got.registry.empty());
 }
 
@@ -136,8 +129,6 @@ TEST(WorkerProtocol, DecodeWorkerExitTable) {
        nullptr},
       {"clean exit, no result frame", exited(0), ResultFrameState::kMissing,
        "", false, "no result frame"},
-      {"clean exit, torn result frame", exited(0), ResultFrameState::kCorrupt,
-       "", false, "corrupt"},
       {"clean exit, error result", exited(0), ResultFrameState::kError,
        "invariant I3 violated", false, "invariant I3 violated"},
       {"bad-request exit, nothing sent", exited(kWorkerExitBadRequest),
@@ -187,9 +178,6 @@ WorkerRequest tiny_request() {
   req.config.scenario.duration_s = 300.0;
   req.config.scenario.warmup_s = 20.0;
   req.config.scenario.seed = 5;
-  // Enables adoption; with no period nothing is ever written there, and
-  // a retained image means the container is never read.
-  req.checkpoint_path = "executor_unused.dcc";
   return req;
 }
 
@@ -213,65 +201,40 @@ std::vector<std::uint8_t> checkpoint_at_100(const WorkerRequest& req,
 
 TEST(AttemptExecutor, MatchingCheckpointResumes) {
   const WorkerRequest req = tiny_request();
-  std::vector<std::uint8_t> retained = checkpoint_at_100(req, false);
-  AttemptSinks sinks;
-  sinks.retained = &retained;
-  const WorkerResult res = execute_attempt(req, sinks);
+  const WorkerResult res =
+      execute_attempt(req, checkpoint_at_100(req, false), AttemptSinks());
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(res.resume_rejected.empty()) << res.resume_rejected;
-  EXPECT_FALSE(retained.empty());
   EXPECT_EQ(res.result.events_executed,
             run_once(req.config, req.kind).events_executed);
 }
 
 TEST(AttemptExecutor, DivergingReplayIsReportedAndTheRunStartsFresh) {
   const WorkerRequest req = tiny_request();
-  std::vector<std::uint8_t> retained = checkpoint_at_100(req, true);
-  AttemptSinks sinks;
-  sinks.retained = &retained;
-  const WorkerResult res = execute_attempt(req, sinks);
+  const WorkerResult res =
+      execute_attempt(req, checkpoint_at_100(req, true), AttemptSinks());
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_NE(res.resume_rejected.find("state mismatch"), std::string::npos)
       << res.resume_rejected;
-  EXPECT_TRUE(retained.empty());  // dropped: a retry would start fresh too
   const RunResult straight = run_once(req.config, req.kind);
   EXPECT_EQ(res.result.events_executed, straight.events_executed);
   EXPECT_EQ(res.result.delivered, straight.delivered);
 }
 
-// --- the parent end of a worker link -----------------------------------
+// --- the worker end of a link ------------------------------------------
 
-/// A socketpair with serve_worker_link on one end (on the test thread)
-/// and a scripted fake worker on the other (on its own thread).
+/// A socketpair with run_worker_link on one end (on its own thread) and
+/// a scripted parent on the other (on the test thread).
 struct LinkRun {
-  GrantItem item;
-  std::atomic<std::uint64_t> events{0};
-  std::atomic<std::uint64_t> time_bits{0};
-  std::atomic<std::uint64_t> seq{0};
-  WorkerResult result;
+  int exit_code = -1;
 
-  LinkRun() {
-    item.spec = 7;
-    item.attempt = 2;
-    item.request = {1, 2, 3};
-  }
-
-  ResultFrameState run(const std::function<void(int)>& fake_worker) {
+  void run(const std::function<void(int)>& parent) {
     int sv[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
-    std::thread worker([&] {
-      fake_worker(sv[1]);
-      ::close(sv[1]);
-    });
-    AttemptSinks sinks;
-    sinks.events = &events;
-    sinks.sim_time_bits = &time_bits;
-    sinks.checkpoint_seq = &seq;
-    const ResultFrameState state =
-        serve_worker_link(sv[0], item, 0.5, sinks, &result);
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+    std::thread worker([&] { exit_code = run_worker_link(sv[1]); });
+    parent(sv[0]);
     ::close(sv[0]);
     worker.join();
-    return state;
   }
 };
 
@@ -279,87 +242,123 @@ void send_bytes(int fd, const std::vector<std::uint8_t>& bytes) {
   net::write_full(fd, bytes.data(), bytes.size());
 }
 
-/// The worker's opening moves: hello, request, and the grant it gets.
-WireFrame open_link(int fd, std::vector<std::uint8_t>& buf) {
-  send_bytes(fd, encode_hello_frame("fake"));
-  send_bytes(fd, encode_request_frame());
-  WireFrame grant;
-  EXPECT_TRUE(read_frame(fd, buf, "fake", &grant));
-  return grant;
+/// The parent's opening moves: the worker's hello and first request.
+void accept_link(int fd, std::vector<std::uint8_t>& buf) {
+  WireFrame f;
+  ASSERT_TRUE(read_frame(fd, buf, "parent", &f));
+  check_hello(f, "parent");
+  ASSERT_TRUE(read_frame(fd, buf, "parent", &f));
+  ASSERT_EQ(f.type, FrameType::kRequest);
+}
+
+/// Reads frames up to the result: checkpoint images (reassembled) and the
+/// largest heartbeat event count on the way.
+WorkerResult read_to_result(int fd, std::vector<std::uint8_t>& buf,
+                            std::vector<std::vector<std::uint8_t>>* images,
+                            std::uint64_t* events) {
+  ImageParts parts;
+  for (;;) {
+    WireFrame f;
+    EXPECT_TRUE(read_frame(fd, buf, "parent", &f));
+    if (f.type == FrameType::kResult) return decode_worker_result(f.result);
+    if (f.type == FrameType::kHeartbeat) *events = std::max(*events, f.events);
+    if (f.type != FrameType::kCheckpoint) continue;
+    EXPECT_EQ(f.lease_id, 9u);
+    EXPECT_EQ(f.spec, 7u);
+    if (auto image = parts.add(std::move(f), "parent"))
+      images->push_back(std::move(*image));
+  }
+}
+
+GrantItem tiny_grant(double checkpoint_every_s) {
+  WorkerRequest req = tiny_request();
+  req.checkpoint_every_s = checkpoint_every_s;
+  return {7, 0, encode_worker_request(req)};
 }
 
 TEST(WorkerLink, CleanResultIsAcceptedAndTheWorkerToldItIsDone) {
+  // A worker writes no file: each periodic image comes back as
+  // checkpoint frames, then the result; nowork(done) ends the link.
   LinkRun link;
-  WorkerResult sent;
-  sent.ok = true;
-  sent.result.delivered = 42;
-  sent.checkpoints_written = 3;
-  bool told_done = false;
-  const ResultFrameState state = link.run([&](int fd) {
+  link.run([&](int fd) {
     std::vector<std::uint8_t> buf;
-    const WireFrame grant = open_link(fd, buf);
-    ASSERT_EQ(grant.type, FrameType::kGrant);
-    EXPECT_EQ(grant.lease_secs, 0.5);
-    ASSERT_EQ(grant.items.size(), 1u);
-    EXPECT_EQ(grant.items[0].spec, 7u);
-    EXPECT_EQ(grant.items[0].attempt, 2);
-    EXPECT_EQ(grant.items[0].request, link.item.request);
-    send_bytes(fd, encode_result_frame(grant.lease_id, 7, 2,
-                                       encode_worker_result(sent)));
-    send_bytes(fd, encode_request_frame());
-    WireFrame bye;
-    ASSERT_TRUE(read_frame(fd, buf, "fake", &bye));
-    told_done = bye.type == FrameType::kNoWork && bye.done;
+    accept_link(fd, buf);
+    send_bytes(fd, encode_grant_frame(9, 0.04, {tiny_grant(100.0)}));
+    std::vector<std::vector<std::uint8_t>> images;
+    std::uint64_t events = 0;
+    const WorkerResult res = read_to_result(fd, buf, &images, &events);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.result.events_executed,
+              run_once(tiny_request().config, ProtocolKind::kOpt)
+                  .events_executed);
+    ASSERT_EQ(images.size(), 2u);  // t=100 and t=200; none at the horizon
+    EXPECT_EQ(read_checkpoint_meta(images[0]).time, 100.0);
+    EXPECT_EQ(read_checkpoint_meta(images[1]).time, 200.0);
+    WireFrame f;
+    ASSERT_TRUE(read_frame(fd, buf, "parent", &f));
+    EXPECT_EQ(f.type, FrameType::kRequest);
+    send_bytes(fd, encode_nowork_frame(true));
   });
-  EXPECT_EQ(state, ResultFrameState::kOk);
-  EXPECT_TRUE(told_done);
-  EXPECT_EQ(link.result.result.delivered, 42u);
-  EXPECT_EQ(link.result.checkpoints_written, 3u);
+  EXPECT_EQ(link.exit_code, kWorkerExitOk);
 }
 
-TEST(WorkerLink, HeartbeatProgressIsMirroredIntoTheSinks) {
+TEST(WorkerLink, ResumeImageBeforeTheGrantSeedsTheAttempt) {
+  // The parent resumes a spec by sending its last image, as checkpoint
+  // frames under the grant's lease, ahead of the grant.
   LinkRun link;
-  const ResultFrameState state = link.run([&](int fd) {
+  link.run([&](int fd) {
     std::vector<std::uint8_t> buf;
-    const WireFrame grant = open_link(fd, buf);
-    send_bytes(fd, encode_heartbeat_frame(grant.lease_id, 7, 12345,
-                                          double_bits(250.5), 4));
-    // The parent mirrors before it reads on; wait until it has.
-    for (int i = 0; i < 2000 && link.seq.load() != 4; ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(link.events.load(), 12345u);
-    EXPECT_EQ(bits_double(link.time_bits.load()), 250.5);
-    EXPECT_EQ(link.seq.load(), 4u);
-    WorkerResult failed;
-    failed.error = "simulated crash at t=300";
-    send_bytes(fd, encode_result_frame(grant.lease_id, 7, 2,
-                                       encode_worker_result(failed)));
+    accept_link(fd, buf);
+    send_bytes(fd, encode_checkpoint_frames(
+                       9, 7, checkpoint_at_100(tiny_request(), false)));
+    send_bytes(fd, encode_grant_frame(9, 0.04, {tiny_grant(0.0)}));
+    std::vector<std::vector<std::uint8_t>> images;
+    std::uint64_t events = 0;
+    const WorkerResult res = read_to_result(fd, buf, &images, &events);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_TRUE(res.resume_rejected.empty()) << res.resume_rejected;
+    EXPECT_TRUE(images.empty());  // no cadence: no images back
+    EXPECT_EQ(res.result.events_executed,
+              run_once(tiny_request().config, ProtocolKind::kOpt)
+                  .events_executed);
+    WireFrame f;
+    ASSERT_TRUE(read_frame(fd, buf, "parent", &f));
+    send_bytes(fd, encode_nowork_frame(true));
   });
-  EXPECT_EQ(state, ResultFrameState::kError);
-  EXPECT_EQ(link.result.error, "simulated crash at t=300");
-  EXPECT_EQ(link.events.load(), 12345u);
-  EXPECT_EQ(link.seq.load(), 4u);
+  EXPECT_EQ(link.exit_code, kWorkerExitOk);
 }
 
 TEST(WorkerLink, GarbageBytesAreACorruptVerdict) {
   LinkRun link;
-  const ResultFrameState state = link.run([&](int fd) {
+  link.run([&](int fd) {
     std::vector<std::uint8_t> buf;
-    open_link(fd, buf);
+    accept_link(fd, buf);
     send_bytes(fd, std::vector<std::uint8_t>(64, 0xa5));
+    // The worker refuses the stream and closes its end.
+    WireFrame f;
+    while (read_frame(fd, buf, "parent", &f)) {
+    }
   });
-  EXPECT_EQ(state, ResultFrameState::kCorrupt);
+  EXPECT_EQ(link.exit_code, kWorkerExitBadRequest);
+  EXPECT_FALSE(decode_worker_exit(exited(link.exit_code),
+                                  ResultFrameState::kMissing, "")
+                   .accept);
 }
 
 TEST(WorkerLink, HangUpBeforeTheResultIsAMissingVerdict) {
+  // The parent vanishes mid-attempt: the worker cannot deliver its
+  // result and says so through its exit code.
   LinkRun link;
-  const ResultFrameState state = link.run([&](int fd) {
+  link.run([&](int fd) {
     std::vector<std::uint8_t> buf;
-    const WireFrame grant = open_link(fd, buf);
-    send_bytes(fd, encode_heartbeat_frame(grant.lease_id, 7, 10, 0, 0));
+    accept_link(fd, buf);
+    send_bytes(fd, encode_grant_frame(9, 0.04, {tiny_grant(0.0)}));
   });
-  EXPECT_EQ(state, ResultFrameState::kMissing);
-  EXPECT_EQ(link.events.load(), 10u);
+  EXPECT_EQ(link.exit_code, kWorkerExitBadRequest);
+  const WorkerExitDecision verdict = decode_worker_exit(
+      exited(link.exit_code), ResultFrameState::kMissing, "");
+  EXPECT_FALSE(verdict.accept);
+  EXPECT_EQ(verdict.detail, "worker exit code 2");
 }
 
 }  // namespace

@@ -194,8 +194,6 @@ TEST(CorruptionFuzz, WorkerRequestAndResult) {
   WorkerRequest req;
   req.config = small_config(21);
   req.attempt = 1;
-  req.checkpoint_path = "fuzz_worker/checkpoints.dcc";
-  req.checkpoint_spec = 3;
   req.checkpoint_every_s = 100.0;
   fuzz_image(encode_worker_request(req), "container:", decode_worker_request);
 
@@ -204,7 +202,6 @@ TEST(CorruptionFuzz, WorkerRequestAndResult) {
   res.result.delivery_ratio = 0.5;
   res.result.generated = 100;
   res.result.delivered = 50;
-  res.checkpoints_written = 2;
   fuzz_image(encode_worker_result(res), "container:", decode_worker_result);
 }
 
@@ -231,7 +228,8 @@ TEST(CorruptionFuzz, DispatchFrames) {
   for (const auto& frame :
        {encode_hello_frame("fuzz-worker"), encode_request_frame(),
         encode_grant_frame(7, 1.5, {item}),
-        encode_heartbeat_frame(7, 2, 99, 0, 1),
+        encode_heartbeat_frame(7, 2, 99, 0),
+        encode_checkpoint_frames(7, 2, {1, 2, 3, 4, 5, 6, 7, 8}),
         encode_result_frame(7, 2, 1, encode_worker_result(res)),
         encode_nowork_frame(true)})
     stream.insert(stream.end(), frame.begin(), frame.end());

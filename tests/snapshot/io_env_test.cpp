@@ -18,7 +18,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Every test arms the process-global IoEnv; this guard restores the
-/// quiet default (no schedule, throw-mode crashes, parent scope) no
+/// quiet default (no schedule, throw-mode crashes) no
 /// matter how the test exits, so suites in the same binary can't leak
 /// faults into each other.
 struct EnvGuard {
@@ -26,7 +26,6 @@ struct EnvGuard {
   ~EnvGuard() {
     IoEnv::instance().reset();
     IoEnv::instance().set_crash_exits(false);
-    IoEnv::instance().set_scope(IoScope::kParent);
   }
 };
 
@@ -46,12 +45,11 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 TEST(IoFaultSchedule, ParsesEveryKindOpAndArg) {
   const auto faults = parse_io_fault_schedule(
       "enospc@open#1;eio@fsync#3;short@write#2:bytes=7;"
-      "crash@rename#1:scope=worker;crash-after@fsyncdir#4:scope=parent");
+      "crash@rename#1;crash-after@fsyncdir#4");
   ASSERT_EQ(faults.size(), 5u);
   EXPECT_EQ(faults[0].kind, IoFault::Kind::kEnospc);
   EXPECT_EQ(faults[0].op, IoOp::kOpen);
   EXPECT_EQ(faults[0].nth, 1u);
-  EXPECT_EQ(faults[0].scope, IoScope::kAny);
   EXPECT_EQ(faults[1].kind, IoFault::Kind::kEio);
   EXPECT_EQ(faults[1].op, IoOp::kFsync);
   EXPECT_EQ(faults[1].nth, 3u);
@@ -59,10 +57,8 @@ TEST(IoFaultSchedule, ParsesEveryKindOpAndArg) {
   EXPECT_EQ(faults[2].bytes, 7u);
   EXPECT_EQ(faults[3].kind, IoFault::Kind::kCrash);
   EXPECT_EQ(faults[3].op, IoOp::kRename);
-  EXPECT_EQ(faults[3].scope, IoScope::kWorker);
   EXPECT_EQ(faults[4].kind, IoFault::Kind::kCrashAfter);
   EXPECT_EQ(faults[4].op, IoOp::kFsyncDir);
-  EXPECT_EQ(faults[4].scope, IoScope::kParent);
 }
 
 TEST(IoFaultSchedule, EmptySpecIsEmptySchedule) {
@@ -83,7 +79,7 @@ TEST(IoFaultSchedule, RejectionsNameTheOffendingToken) {
       {"eio@write#x", "x"},              // non-numeric count
       {"eio@write#1:bytes=", "bytes="},  // empty arg value
       {"eio@write#1:frac=3", "frac"},    // unknown arg
-      {"eio@write#1:scope=me", "me"},    // unknown scope
+      {"eio@write#1:scope=me", "scope="},  // removed argument
       {"short@write#1:bytes=99999999999999999999", "9999"},  // overflow
   };
   for (const auto& c : cases) {
@@ -194,21 +190,20 @@ TEST(IoEnv, CrashAfterFiresOnceTheOpSucceeded) {
   EXPECT_FALSE(fs::exists(dir.path + "/f.tmp"));
 }
 
-TEST(IoEnv, ScopeFilteringArmsOnlyTheMatchingSide) {
-  EnvGuard guard;
-  TempDir dir("io_env_scope.tmp");
-  IoEnv& io = IoEnv::instance();
-  io.set_scope(IoScope::kParent);
-  io.set_schedule_spec("eio@write#1:scope=worker");
-  // A worker-scoped fault never fires in the parent...
-  io.write_file_atomic_durable(dir.path + "/a", bytes_of("x"));
-  EXPECT_TRUE(fs::exists(dir.path + "/a"));
-
-  // ...but the same schedule in a worker-scoped process fires at once.
-  io.set_schedule_spec("eio@write#1:scope=worker");
-  io.set_scope(IoScope::kWorker);
-  EXPECT_THROW(io.write_file_atomic_durable(dir.path + "/b", bytes_of("x")),
-               SnapshotError);
+TEST(IoFaultSchedule, RefusesTheRemovedScopeArgument) {
+  // Schedules once picked the parent or a worker process with scope=;
+  // only the parent writes files now, and an old schedule must fail
+  // loudly rather than fire somewhere unexpected.
+  for (const char* spec : {"eio@write#1:scope=worker",
+                           "crash@rename#1:bytes=3,scope=parent"}) {
+    try {
+      parse_io_fault_schedule(spec);
+      ADD_FAILURE() << "accepted removed argument: " << spec;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("scope="), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(IoEnv, OpCountersTrackTheProtocol) {

@@ -21,7 +21,11 @@ class CsvTest : public ::testing::Test {
     return os.str();
   }
 
-  std::string path_ = "csv_test_tmp.csv";
+  // ctest runs the cases in parallel, so each gets its own file.
+  std::string path_ =
+      ::testing::TempDir() + "csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {
